@@ -10,9 +10,9 @@ from .signal import (
     AcquisitionParams,
     ComplexSpectrum,
     LorentzianComponent,
-    fid_to_spectrum,
+    lorentzian_fids,
     ppm_axis,
-    synthesize_fid,
+    spectra_from_fids,
 )
 
 # Baseline T2* for the built-in basis; 0.1 s gives a ~3.2 Hz Lorentzian width.
@@ -78,30 +78,50 @@ class BasisSet:
 
 def render_metabolite(basis, name, concentration, t2_scale=1.0):
     """Spectrum of one metabolite with amplitudes scaled by concentration and T2 by t2_scale."""
-    if concentration < 0:
-        raise ValidationError(f"concentration must be >= 0, got {concentration}")
-    if not t2_scale > 0:
-        raise ValidationError(f"t2_scale must be > 0, got {t2_scale}")
-    met = basis.get(name)
-    scaled = [
-        LorentzianComponent(c.chemical_shift, c.amplitude * concentration, c.t2 * t2_scale, c.phase0)
-        for c in met.components
-    ]
-    fid = synthesize_fid(scaled, basis.params, basis.reference_ppm)
-    return fid_to_spectrum(fid, basis.reference_ppm)
+    _check_scales(concentration, t2_scale)
+    values = _metabolite_values(basis, name, np.array([concentration]), np.array([t2_scale]))
+    return ComplexSpectrum(values[0], ppm_axis(basis.params, basis.reference_ppm), basis.params)
 
 
 def linear_combination(basis, concentrations, t2_scale=1.0):
     """Elementwise sum of render_metabolite over every (name, concentration) entry."""
-    total = np.zeros(basis.params.n_points, dtype=np.complex128)
-    axis = None
     for name, conc in concentrations.items():
-        spec = render_metabolite(basis, name, conc, t2_scale)
-        total = total + spec.values
-        axis = spec.ppm_axis
-    if axis is None:
-        axis = ppm_axis(basis.params, basis.reference_ppm)
-    return ComplexSpectrum(total, axis, basis.params)
+        _check_scales(conc, t2_scale)
+        basis.get(name)
+    values = combination_values(
+        basis, list(concentrations), np.array([list(concentrations.values())], dtype=np.float64),
+        np.array([t2_scale]),
+    )
+    return ComplexSpectrum(values[0], ppm_axis(basis.params, basis.reference_ppm), basis.params)
+
+
+def _check_scales(concentration, t2_scale):
+    if concentration < 0:
+        raise ValidationError(f"concentration must be >= 0, got {concentration}")
+    if not t2_scale > 0:
+        raise ValidationError(f"t2_scale must be > 0, got {t2_scale}")
+
+
+def _metabolite_values(basis, name, concentrations, t2_scales):
+    """(rows, n_points) spectra of one metabolite, row r at concentrations[r] and T2 scale t2_scales[r]."""
+    shifts, amps, t2s, phases = np.array(
+        [(c.chemical_shift, c.amplitude, c.t2, c.phase0) for c in basis.get(name).components]
+    ).T
+    fids = lorentzian_fids(basis.params, basis.reference_ppm, shifts, amps * concentrations[:, None],
+                           t2s * t2_scales[:, None], phases)
+    return spectra_from_fids(fids)
+
+
+def combination_values(basis, names, concentrations, t2_scales):
+    """(rows, n_points) linear combinations: row r sums metabolite names[m] at concentrations[r, m].
+
+    Metabolites are added in the order of names, each to the running total
+    of the ones before it, as linear_combination does for one row.
+    """
+    total = np.zeros((len(t2_scales), basis.params.n_points), dtype=np.complex128)
+    for m, name in enumerate(names):
+        total = total + _metabolite_values(basis, name, concentrations[:, m], t2_scales)
+    return total
 
 
 def default_brain_basis(params, reference_ppm=DEFAULT_REFERENCE_PPM, t2=DEFAULT_COMPONENT_T2):

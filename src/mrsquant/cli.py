@@ -25,7 +25,14 @@ from .errors import (
 from .evaluate import EXPERIMENT_NAMES, ExperimentSpec, run_experiment
 from .forest import ForestConfig
 from .pipeline import features_for_dataset, train_model
-from .simulate import SimulationConfig, simulate_dataset
+from .simulate import (
+    DEFAULT_BASELINE_RANGE,
+    DEFAULT_CONCENTRATION_RANGES,
+    DEFAULT_LIPID_RANGE,
+    DEFAULT_SNR_RANGE,
+    DEFAULT_T2_SCALE_RANGE,
+    simulate_dataset,
+)
 
 DEFAULT_ACQUISITION = {"spectral_width_hz": 2500.0, "n_points": 1024,
                        "transmitter_freq_mhz": 127.7, "echo_time_ms": 35.0,
@@ -78,26 +85,14 @@ def _build_sim_config(args):
     elif "basis" not in cfg:
         cfg["basis"] = fileio.basis_to_dict(default_brain_basis(params, cfg["reference_ppm"]))
     for key, default in (
-        ("concentration_ranges", None),
-        ("t2_scale_range", None),
-        ("snr_range", None),
-        ("baseline_amplitude_range", None),
-        ("lipid_amplitude_range", None),
+        ("concentration_ranges", {k: list(v) for k, v in DEFAULT_CONCENTRATION_RANGES.items()}),
+        ("t2_scale_range", list(DEFAULT_T2_SCALE_RANGE)),
+        ("snr_range", list(DEFAULT_SNR_RANGE)),
+        ("baseline_amplitude_range", list(DEFAULT_BASELINE_RANGE)),
+        ("lipid_amplitude_range", list(DEFAULT_LIPID_RANGE)),
     ):
-        cfg.setdefault(key, default)
-    defaults = SimulationConfig(
-        basis=default_brain_basis(params, cfg["reference_ppm"]), n_spectra=1, rng_seed=0
-    )
-    if cfg["concentration_ranges"] is None:
-        cfg["concentration_ranges"] = {k: list(v) for k, v in defaults.concentration_ranges.items()}
-    for key, attr in (
-        ("t2_scale_range", "t2_scale_range"),
-        ("snr_range", "snr_range"),
-        ("baseline_amplitude_range", "baseline_amplitude_range"),
-        ("lipid_amplitude_range", "lipid_amplitude_range"),
-    ):
-        if cfg[key] is None:
-            cfg[key] = list(getattr(defaults, attr))
+        if cfg.get(key) is None:
+            cfg[key] = default
     return fileio.sim_config_from_dict(cfg)
 
 
@@ -260,7 +255,8 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--n-spectra", type=int, dest="n_spectra")
     p.add_argument("--basis", help="basis-set JSON file overriding the built-in basis")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="worker threads over fixed chunks of spectra; the output does not depend on it")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a random-forest model on a dataset")
@@ -282,7 +278,8 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--preprocess", action="store_true",
                    help="evaluate spectra from a different protocol on the model grid")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="accepted and ignored: prediction runs on one thread")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="run one of the four experiment designs")

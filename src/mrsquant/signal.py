@@ -76,10 +76,6 @@ class LorentzianComponent:
         if self.amplitude < 0:
             raise ValidationError(f"amplitude must be >= 0, got {self.amplitude}")
 
-    def hz_offset(self, reference_ppm, transmitter_freq):
-        """Frequency offset in Hz relative to the axis reference."""
-        return (self.chemical_shift - reference_ppm) * transmitter_freq
-
 
 def _readonly(arr):
     arr = np.asarray(arr)
@@ -138,14 +134,16 @@ class ComplexSpectrum:
 def ppm_axis(params, reference_ppm=DEFAULT_REFERENCE_PPM):
     """Descending ppm axis covering the full spectral width, centered on the reference.
 
-    Bin j sits at reference_ppm + (sw/2 - j*sw/n) / transmitter_freq, so the
-    axis spans spectral_width/transmitter_freq ppm (one bandwidth) with the
-    reference half a bin above the midpoint of the first and last entries.
+    Position j holds the DFT frequency (n//2 - j) * sw/n (see _bin_order), so
+    bin j sits at reference_ppm + ((n//2)*sw/n - j*sw/n) / transmitter_freq
+    and position n//2, the DC bin, is exactly the reference.  For even n the
+    first term is sw/2, which is how it is computed.
     """
     sw = params.spectral_width
     n = params.n_points
     j = np.arange(n)
-    return reference_ppm + (sw / 2.0 - j * (sw / n)) / params.transmitter_freq
+    top = sw / 2.0 if n % 2 == 0 else (n // 2) * (sw / n)
+    return reference_ppm + (top - j * (sw / n)) / params.transmitter_freq
 
 
 def synthesize_fid(components, params, reference_ppm=DEFAULT_REFERENCE_PPM):
@@ -158,18 +156,29 @@ def synthesize_fid(components, params, reference_ppm=DEFAULT_REFERENCE_PPM):
     """
     if not isinstance(params, AcquisitionParams):
         raise ValidationError("params must be an AcquisitionParams instance")
-    t = np.arange(params.n_points) / params.spectral_width
     if len(components) == 0:
         return TimeSignal(np.zeros(params.n_points, dtype=np.complex128), params)
-    freqs = np.array([c.hz_offset(reference_ppm, params.transmitter_freq) for c in components])
-    amps = np.array([c.amplitude for c in components])
-    t2s = np.array([c.t2 for c in components])
-    phases = np.array([c.phase0 for c in components])
+    shifts, amps, t2s, phases = np.array(
+        [(c.chemical_shift, c.amplitude, c.t2, c.phase0) for c in components]
+    ).T
+    samples = lorentzian_fids(params, reference_ppm, shifts, amps[None], t2s[None], phases)
+    return TimeSignal(samples[0], params)
+
+
+def lorentzian_fids(params, reference_ppm, shifts, amplitudes, t2s, phases):
+    """FIDs of many line sets at once, as a (rows, n_points) complex array.
+
+    shifts is (k,) in ppm; amplitudes and t2s are (rows, k) and phases
+    broadcasts against them.  Row r is the synthesize_fid sum of the k lines
+    with row r's parameters, one (1, k) @ (k, n_points) product per row, so
+    a row does not depend on the rows batched with it.
+    """
+    t = np.arange(params.n_points) / params.spectral_width
+    freqs = (np.asarray(shifts, dtype=np.float64) - reference_ppm) * params.transmitter_freq
     # rate has the oscillation and the decay folded into one complex exponent
-    rate = 2j * np.pi * freqs - 1.0 / t2s
-    coeff = amps * np.exp(1j * phases)
-    samples = coeff @ np.exp(rate[:, None] * t[None, :])
-    return TimeSignal(samples, params)
+    rate = 2j * np.pi * freqs - 1.0 / np.asarray(t2s)
+    coeff = np.asarray(amplitudes) * np.exp(1j * np.asarray(phases))
+    return (coeff[:, None, :] @ np.exp(rate[:, :, None] * t))[:, 0, :]
 
 
 def _bin_order(n):
@@ -180,11 +189,13 @@ def _bin_order(n):
 
 def fid_to_spectrum(fid, reference_ppm=DEFAULT_REFERENCE_PPM):
     """DFT of the FID, reordered so index 0 is the most-downfield (highest ppm) bin."""
-    n = fid.params.n_points
-    transformed = np.fft.fft(fid.samples)
-    values = transformed[_bin_order(n)]
-    axis = ppm_axis(fid.params, reference_ppm)
-    return ComplexSpectrum(values, axis, fid.params)
+    values = spectra_from_fids(fid.samples)
+    return ComplexSpectrum(values, ppm_axis(fid.params, reference_ppm), fid.params)
+
+
+def spectra_from_fids(fids):
+    """Spectrum values of FIDs along the last axis: DFT of each row, downfield bin first."""
+    return np.fft.fft(fids)[..., _bin_order(fids.shape[-1])]
 
 
 def spectrum_to_fid(spec):

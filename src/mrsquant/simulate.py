@@ -16,16 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import linear_combination
+# linear_combination is one row of combination_values; it stays importable from here.
+from .basis import combination_values, linear_combination
 from .errors import ValidationError
-from .signal import (
-    DEFAULT_REFERENCE_PPM,
-    ComplexSpectrum,
-    LorentzianComponent,
-    fid_to_spectrum,
-    ppm_axis,
-    synthesize_fid,
-)
+from .signal import DEFAULT_REFERENCE_PPM, ComplexSpectrum, lorentzian_fids, ppm_axis, spectra_from_fids
 
 DEFAULT_CONCENTRATION_RANGES = {
     # Cr is absolute; every other metabolite's range is its ratio to Cr,
@@ -48,6 +42,11 @@ _BASELINE_CENTER_PPM = (0.5, 4.3)
 _BASELINE_SMOOTHNESS_FACTOR = 10.0
 _LIPID_SHIFTS_PPM = (1.3, 0.9)
 _LIPID_T2_RANGE = (0.02, 0.05)
+_BASELINE_ATTEMPTS = 100
+# Spectra simulated per batched kernel call and per worker task.  Every row
+# draws from its own streams and no arithmetic mixes rows, so results do not
+# depend on it.
+CHUNK_SIZE = 128
 
 
 def _check_range(name, rng_pair, low_exclusive=False):
@@ -157,15 +156,58 @@ def sample_parameters(config, index):
 
 
 def _gaussian_bumps(axis, centers, fwhms, heights):
-    widths = np.asarray(fwhms) / (2.0 * math.sqrt(math.log(2.0)))
-    dist = (axis[None, :] - np.asarray(centers)[:, None]) / widths[:, None]
-    return np.asarray(heights) @ np.exp(-dist * dist)
+    """(rows, n) sums of Gaussian bumps on axis; centers, fwhms and heights are (rows, k)."""
+    widths = fwhms / (2.0 * math.sqrt(math.log(2.0)))
+    dist = (axis - centers[:, :, None]) / widths[:, :, None]
+    return (heights[:, None, :] @ np.exp(-dist * dist))[:, 0, :]
 
 
-def _max_abs_second_difference(values):
-    if values.size < 3:
-        return 0.0
-    return float(np.max(np.abs(np.diff(values, n=2))))
+def _max_abs_second_difference(rows):
+    if rows.shape[1] < 3:
+        return np.zeros(rows.shape[0])
+    return np.max(np.abs(np.diff(rows, n=2, axis=1)), axis=1)
+
+
+def _curvature_bound(axis):
+    widest = _gaussian_bumps(axis, np.array([[axis.mean()]]), np.array([[_BASELINE_FWHM_PPM[1]]]),
+                             np.array([[1.0]]))
+    return _BASELINE_SMOOTHNESS_FACTOR * _max_abs_second_difference(widest)[0]
+
+
+def _baselines(axis, amplitudes, rngs, curvature_bound):
+    """(rows, n) baselines; row r draws from rngs[r] alone and is zero when amplitudes[r] is 0.
+
+    Rows whose draw is rougher than curvature_bound draw again from their
+    own stream, up to _BASELINE_ATTEMPTS times.  Draws with the same bump
+    count are rendered together.
+    """
+    out = np.zeros((len(rngs), axis.size), dtype=np.complex128)
+    pending = [r for r in range(len(rngs)) if amplitudes[r] != 0]
+    for _ in range(_BASELINE_ATTEMPTS):
+        if not pending:
+            return out
+        by_count = {}
+        for r in pending:
+            rng = rngs[r]
+            n_bumps = int(rng.integers(_BASELINE_BUMPS[0], _BASELINE_BUMPS[1] + 1))
+            centers = rng.uniform(*_BASELINE_CENTER_PPM, size=n_bumps)
+            fwhms = rng.uniform(*_BASELINE_FWHM_PPM, size=n_bumps)
+            heights = rng.uniform(0.2, 1.0, size=n_bumps)
+            by_count.setdefault(n_bumps, []).append((r, centers, fwhms, heights))
+        pending = []
+        for group in by_count.values():
+            rows, centers, fwhms, heights = (np.array(col) for col in zip(*group))
+            shape = _gaussian_bumps(axis, centers, fwhms, heights)
+            peak = np.max(np.abs(shape), axis=1)
+            drawn = peak != 0
+            shape = shape[drawn] / peak[drawn, None]
+            smooth = _max_abs_second_difference(shape) <= curvature_bound
+            done = rows[drawn][smooth]
+            out[done] = amplitudes[done, None] * shape[smooth]
+            pending.extend(np.setdiff1d(rows, done).tolist())
+    if pending:
+        raise ValidationError("could not draw a baseline satisfying the smoothness bound")
+    return out
 
 
 def generate_baseline(amplitude, params, rng, reference_ppm=None):
@@ -177,27 +219,27 @@ def generate_baseline(amplitude, params, rng, reference_ppm=None):
     """
     if amplitude < 0:
         raise ValidationError(f"baseline amplitude must be >= 0, got {amplitude}")
-    ref = DEFAULT_REFERENCE_PPM if reference_ppm is None else reference_ppm
-    axis = ppm_axis(params, ref)
-    if amplitude == 0:
-        return ComplexSpectrum(np.zeros(params.n_points, dtype=np.complex128), axis, params)
+    axis = ppm_axis(params, DEFAULT_REFERENCE_PPM if reference_ppm is None else reference_ppm)
+    values = _baselines(axis, np.array([amplitude]), [rng], _curvature_bound(axis))
+    return ComplexSpectrum(values[0], axis, params)
 
-    widest = _gaussian_bumps(axis, [axis.mean()], [_BASELINE_FWHM_PPM[1]], [1.0])
-    curvature_bound = _BASELINE_SMOOTHNESS_FACTOR * _max_abs_second_difference(widest)
-    for _ in range(100):
-        n_bumps = int(rng.integers(_BASELINE_BUMPS[0], _BASELINE_BUMPS[1] + 1))
-        centers = rng.uniform(*_BASELINE_CENTER_PPM, size=n_bumps)
-        fwhms = rng.uniform(*_BASELINE_FWHM_PPM, size=n_bumps)
-        heights = rng.uniform(0.2, 1.0, size=n_bumps)
-        shape = _gaussian_bumps(axis, centers, fwhms, heights)
-        peak = np.max(np.abs(shape))
-        if peak == 0:
-            continue
-        shape = shape / peak
-        if _max_abs_second_difference(shape) <= curvature_bound:
-            values = (amplitude * shape).astype(np.complex128)
-            return ComplexSpectrum(values, axis, params)
-    raise ValidationError("could not draw a baseline satisfying the smoothness bound")
+
+def _lipids(params, reference_ppm, amplitudes, rngs):
+    """(rows, n) lipid spectra, peak magnitude amplitudes[r]; zero rows draw nothing."""
+    out = np.zeros((len(rngs), params.n_points), dtype=np.complex128)
+    rows = [r for r in range(len(rngs)) if amplitudes[r] != 0]
+    if not rows:
+        return out
+    t2s, rel = [], []
+    for r in rows:
+        t2s.append(rngs[r].uniform(*_LIPID_T2_RANGE, size=len(_LIPID_SHIFTS_PPM)))
+        # CH2 at 1.3 ppm dominates; the 0.9 ppm CH3 line gets a drawn fraction.
+        rel.append([1.0, rngs[r].uniform(0.3, 0.8)])
+    fids = lorentzian_fids(params, reference_ppm, _LIPID_SHIFTS_PPM, np.array(rel), np.array(t2s), 0.0)
+    spectra = spectra_from_fids(fids)
+    peak = np.max(np.abs(spectra), axis=1)
+    out[rows] = spectra * (amplitudes[rows] / peak)[:, None]
+    return out
 
 
 def generate_lipids(amplitude, params, rng, reference_ppm=None):
@@ -205,19 +247,24 @@ def generate_lipids(amplitude, params, rng, reference_ppm=None):
     if amplitude < 0:
         raise ValidationError(f"lipid amplitude must be >= 0, got {amplitude}")
     ref = DEFAULT_REFERENCE_PPM if reference_ppm is None else reference_ppm
-    axis = ppm_axis(params, ref)
-    if amplitude == 0:
-        return ComplexSpectrum(np.zeros(params.n_points, dtype=np.complex128), axis, params)
-    t2s = rng.uniform(*_LIPID_T2_RANGE, size=len(_LIPID_SHIFTS_PPM))
-    # CH2 at 1.3 ppm dominates; the 0.9 ppm CH3 line gets a drawn fraction.
-    rel = np.array([1.0, rng.uniform(0.3, 0.8)])
-    comps = [
-        LorentzianComponent(shift, a, t2, 0.0)
-        for shift, a, t2 in zip(_LIPID_SHIFTS_PPM, rel, t2s)
-    ]
-    spec = fid_to_spectrum(synthesize_fid(comps, params, ref), ref)
-    peak = np.max(np.abs(spec.values))
-    return ComplexSpectrum(spec.values * (amplitude / peak), axis, params)
+    values = _lipids(params, ref, np.array([amplitude]), [rng])
+    return ComplexSpectrum(values[0], ppm_axis(params, ref), params)
+
+
+def _add_noise(values, snrs, rngs):
+    """Add noise of complex sigma max|row| / snr to each row of values, in place; snr = inf adds none."""
+    peak = np.max(np.abs(values), axis=1)
+    if np.any(peak == 0):
+        raise ValidationError("cannot add noise to an all-zero spectrum: SNR is undefined")
+    for r, snr in enumerate(snrs):
+        if math.isinf(snr):
+            continue
+        sigma = peak[r] / snr
+        component_sigma = sigma / math.sqrt(2.0)
+        noise = rngs[r].normal(0.0, component_sigma, values.shape[1]) + 1j * rngs[r].normal(
+            0.0, component_sigma, values.shape[1]
+        )
+        values[r] = values[r] + noise
 
 
 def add_noise(spec, snr, rng):
@@ -228,51 +275,74 @@ def add_noise(spec, snr, rng):
     """
     if not snr > 0:
         raise ValidationError(f"snr must be > 0, got {snr}")
-    peak = np.max(np.abs(spec.values))
-    if peak == 0:
-        raise ValidationError("cannot add noise to an all-zero spectrum: SNR is undefined")
+    values = spec.values[None, :].copy()
+    _add_noise(values, [snr], [rng])
     if math.isinf(snr):
         return spec
-    sigma = peak / snr
-    component_sigma = sigma / math.sqrt(2.0)
-    noise = rng.normal(0.0, component_sigma, spec.values.size) + 1j * rng.normal(
-        0.0, component_sigma, spec.values.size
+    return ComplexSpectrum(values[0], spec.ppm_axis, spec.params)
+
+
+def _simulate_chunk(config, indices, axis, curvature_bound):
+    """Labeled spectra for indices, computed as (len(indices), n) arrays; rows share axis."""
+    basis = config.basis
+    seed = config.rng_seed
+    records = [sample_parameters(config, i) for i in indices]
+    names = list(records[0].concentrations)
+    clean = combination_values(
+        basis, names, np.array([[r.concentrations[n] for n in names] for r in records]),
+        np.array([r.t2_scale for r in records]),
     )
-    return ComplexSpectrum(spec.values + noise, spec.ppm_axis, spec.params)
+    tallest = np.max(np.abs(clean), axis=1)
+    baseline_abs = np.array([r.baseline_amplitude for r in records]) * tallest
+    lipid_abs = np.array([r.lipid_amplitude for r in records]) * tallest
+    baseline = _baselines(axis, baseline_abs, [_stream(seed, i, 1) for i in indices], curvature_bound)
+    lipids = _lipids(basis.params, basis.reference_ppm, lipid_abs, [_stream(seed, i, 2) for i in indices])
+    values = clean + baseline + lipids
+    _add_noise(values, [r.snr for r in records], [_stream(seed, i, 3) for i in indices])
+    values.flags.writeable = False
+    return [
+        LabeledSpectrum(
+            ComplexSpectrum(values[k], axis, basis.params),
+            r.labels(),
+            {
+                "concentration_draws": r.concentration_draws,
+                "concentrations": r.concentrations,
+                "t2_scale": r.t2_scale,
+                "snr": r.snr,
+                "baseline_amplitude": r.baseline_amplitude,
+                "lipid_amplitude": r.lipid_amplitude,
+                "baseline_amplitude_abs": baseline_abs[k],
+                "lipid_amplitude_abs": lipid_abs[k],
+            },
+        )
+        for k, r in enumerate(records)
+    ]
 
 
 def simulate_spectrum(config, index):
     """One labeled spectrum: metabolites + baseline + lipids, then noise."""
-    record = sample_parameters(config, index)
-    basis = config.basis
-    clean = linear_combination(basis, record.concentrations, t2_scale=record.t2_scale)
-    tallest = np.max(np.abs(clean.values))
-    baseline_abs = record.baseline_amplitude * tallest
-    lipid_abs = record.lipid_amplitude * tallest
-    baseline = generate_baseline(baseline_abs, basis.params, _stream(config.rng_seed, index, 1), basis.reference_ppm)
-    lipids = generate_lipids(lipid_abs, basis.params, _stream(config.rng_seed, index, 2), basis.reference_ppm)
-    composite = ComplexSpectrum(
-        clean.values + baseline.values + lipids.values, clean.ppm_axis, basis.params
-    )
-    noisy = add_noise(composite, record.snr, _stream(config.rng_seed, index, 3))
-    truth = {
-        "concentration_draws": record.concentration_draws,
-        "concentrations": record.concentrations,
-        "t2_scale": record.t2_scale,
-        "snr": record.snr,
-        "baseline_amplitude": record.baseline_amplitude,
-        "lipid_amplitude": record.lipid_amplitude,
-        "baseline_amplitude_abs": baseline_abs,
-        "lipid_amplitude_abs": lipid_abs,
-    }
-    return LabeledSpectrum(noisy, record.labels(), truth)
+    return simulate_dataset(config, [index])[0]
 
 
 def simulate_dataset(config, indices=None, threads=1):
-    """Generate the configured spectra; a pure function of (config, indices)."""
-    if indices is None:
-        indices = range(config.n_spectra)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda i: simulate_spectrum(config, i), indices))
-    return [simulate_spectrum(config, i) for i in indices]
+    """Generate the configured spectra; a pure function of (config, indices).
+
+    Indices are simulated CHUNK_SIZE at a time, the chunks spread over up to
+    ``threads`` worker threads; neither changes a single bit of the result.
+    Spectra are read-only row views of their chunk and share one ppm axis.
+    """
+    indices = list(range(config.n_spectra) if indices is None else indices)
+    axis = ppm_axis(config.basis.params, config.basis.reference_ppm)
+    axis.flags.writeable = False
+    bound = _curvature_bound(axis)
+    chunks = [indices[s:s + CHUNK_SIZE] for s in range(0, len(indices), CHUNK_SIZE)]
+
+    def run(chunk):
+        return _simulate_chunk(config, chunk, axis, bound)
+
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            parts = list(pool.map(run, chunks))
+    else:
+        parts = [run(chunk) for chunk in chunks]
+    return [spectrum for part in parts for spectrum in part]

@@ -44,6 +44,17 @@ class TestSimulate:
         b = simulate(tmp_path, "b.json")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_thread_count_does_not_change_the_file(self, tmp_path):
+        # 200 spectra cross the first 128-spectrum chunk boundary
+        cfg = write_config(tmp_path / "cfg.json")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.json"
+            assert main(["simulate", "--config", cfg, "--seed", "9", "--n-spectra", "200",
+                         "--threads", threads, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_bad_range_exits_2_naming_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.json",
                            concentration_ranges={"NAA": [2.0, 0.5], "Cr": [1.0, 1.0]})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mrsquant.dataset import _reference_from_axis
 from mrsquant.errors import ValidationError
 from mrsquant.signal import (
     AcquisitionParams,
@@ -15,6 +16,7 @@ from mrsquant.signal import (
 
 REF = 4.7
 PARAMS = AcquisitionParams(spectral_width=2500.0, n_points=1024, transmitter_freq=127.7)
+ODD_PARAMS = AcquisitionParams(spectral_width=2000.0, n_points=401, transmitter_freq=127.7)
 
 
 def measured_fwhm_bins(mag):
@@ -82,6 +84,17 @@ class TestPpmAxis:
         axis = ppm_axis(PARAMS, REF)
         assert axis[1024 // 2] == pytest.approx(REF, abs=1e-12)
 
+    def test_odd_length_reference_sits_exactly_on_center_bin(self):
+        spec = ComplexSpectrum(np.zeros(401), ppm_axis(ODD_PARAMS, REF), ODD_PARAMS)
+        assert _reference_from_axis(spec) == REF
+
+    @pytest.mark.parametrize("sw,n", [(2500.0, 1024), (2000.0, 400), (2000.0, 401), (2500.0, 1023)])
+    def test_bins_labeled_with_their_dft_frequency(self, sw, n):
+        # position j holds DFT bin (n//2 - j) mod n, i.e. (n//2 - j) * sw/n Hz
+        params = AcquisitionParams(spectral_width=sw, n_points=n, transmitter_freq=127.7)
+        expected = REF + (n // 2 - np.arange(n)) * (sw / n) / 127.7
+        assert np.allclose(ppm_axis(params, REF), expected, rtol=0, atol=1e-12)
+
 
 class TestSynthesizeFid:
     def test_zero_frequency_no_decay_is_constant_one(self):
@@ -147,6 +160,12 @@ class TestFidToSpectrum:
         spec = fid_to_spectrum(fid, REF)
         peak = int(np.argmax(np.abs(spec.values)))
         assert peak == spec.nearest_bin(shift)
+
+    @pytest.mark.parametrize("shift", [1.0, 2.01, 3.03, 4.0])
+    def test_odd_length_peak_at_nearest_bin(self, shift):
+        fid = synthesize_fid([LorentzianComponent(shift, 1.0, 0.1)], ODD_PARAMS, REF)
+        spec = fid_to_spectrum(fid, REF)
+        assert int(np.argmax(np.abs(spec.values))) == spec.nearest_bin(shift)
 
     @pytest.mark.parametrize(
         "t2,sw,n",

@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mrsquant.basis import default_brain_basis, linear_combination, render_metabolite
+from mrsquant.dataset import dataset_from_labeled
 from mrsquant.errors import ValidationError
 from mrsquant.signal import AcquisitionParams, ComplexSpectrum, ppm_axis
 from mrsquant.simulate import (
+    CHUNK_SIZE,
     SimulationConfig,
     add_noise,
     generate_baseline,
@@ -233,12 +236,50 @@ class TestSimulateDataset:
             assert np.array_equal(x.spectrum.values, y.spectrum.values)
 
     def test_threaded_generation_matches_sequential(self):
-        cfg = SimulationConfig(basis=BASIS, n_spectra=16, rng_seed=31)
+        # 300 spectra span two chunk boundaries (128 and 256)
+        assert CHUNK_SIZE == 128
+        cfg = SimulationConfig(basis=BASIS, n_spectra=300, rng_seed=31)
         seq = simulate_dataset(cfg, threads=1)
-        par = simulate_dataset(cfg, threads=4)
-        for x, y in zip(seq, par):
-            assert np.array_equal(x.spectrum.values, y.spectrum.values)
-            assert x.labels == y.labels
+        for threads in (2, 4):
+            par = simulate_dataset(cfg, threads=threads)
+            assert len(par) == len(seq)
+            for x, y in zip(seq, par):
+                assert np.array_equal(x.spectrum.values, y.spectrum.values)
+                assert x.labels == y.labels
+                assert x.truth_params == y.truth_params
+        for i in (0, 127, 128, 299):
+            alone = simulate_spectrum(cfg, i)
+            assert np.array_equal(seq[i].spectrum.values, alone.spectrum.values)
+            assert seq[i].labels == alone.labels
+
+    def test_rows_share_one_read_only_axis(self):
+        cfg = SimulationConfig(basis=BASIS, n_spectra=130, rng_seed=4)
+        out = simulate_dataset(cfg, threads=2)
+        axis = out[0].spectrum.ppm_axis
+        assert all(ls.spectrum.ppm_axis is axis for ls in out)
+        assert np.array_equal(axis, ppm_axis(PARAMS))
+        with pytest.raises(ValueError):
+            out[129].spectrum.values[0] = 0.0
+
+    # SHA-256 of Dataset.values (complex128 bytes), recorded before simulation
+    # was batched, with numpy 2.4 on x86-64.  Seed 15 redraws the baseline of
+    # rows 59 and 158 once each; seed 7 with zero baseline and lipid ranges
+    # and snr = inf draws neither and adds no noise.
+    @pytest.mark.parametrize("sw,n,seed,clean,digest", [
+        (2500.0, 1024, 15, False, "163995115a21e12902ea9dec6a5848425a4e0ad65180543c4d242556631d63ba"),
+        (2000.0, 400, 15, False, "e5a0866be5372ccaf49227367f2f595a6b51e3b3a3c5841d0236a576abbe6d37"),
+        (2500.0, 1024, 7, True, "8d71f75de6b9228a8de4ad6a4b68fccb9310df0f148a378a83fd519f95876ee5"),
+        (2000.0, 400, 7, True, "e47b5811b242eb4c322b4ba59a86e8090920de7c3f57457ee0f761e42bb2e4b0"),
+    ])
+    def test_dataset_values_match_recorded_digests(self, sw, n, seed, clean, digest):
+        basis = default_brain_basis(AcquisitionParams(sw, n, 127.7), 4.7)
+        ranges = {}
+        if clean:
+            ranges = dict(snr_range=(math.inf, math.inf), baseline_amplitude_range=(0.0, 0.0),
+                          lipid_amplitude_range=(0.0, 0.0))
+        cfg = SimulationConfig(basis=basis, n_spectra=200, rng_seed=seed, **ranges)
+        ds = dataset_from_labeled(simulate_dataset(cfg, threads=2), target_names=cfg.target_names)
+        assert hashlib.sha256(ds.values.tobytes()).hexdigest() == digest
 
     def test_noise_level_recorded_and_applied(self):
         cfg = degenerate_config(snr=15.0)
