@@ -11,6 +11,7 @@ thread scheduling.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,43 +79,45 @@ class RegressionTree:
         )
 
 
-def _best_split(XnT, yn):
-    """Exhaustive greedy split over the node's feature subset.
+# The split search sorts uint64 keys packing (node, rank, position), 21 bits each.
+_KEY_BITS = np.uint64(21)
+_KEY_MASK = np.uint64((1 << 21) - 1)
+MAX_ROWS = 1 << 21
 
-    XnT is (n_features_tried, n_node_samples), row-contiguous so the
-    per-feature sorts stay cache-friendly.  Candidate thresholds are
-    midpoints between consecutive distinct sorted values; the winner
-    minimizes the summed child squared deviation, evaluated through the
-    equivalent maximization of S_L^2/n_L + S_R^2/n_R (one prefix sum).
-    Returns (row, threshold) or None when no feature admits a split.
+
+def _check_finite(name, a):
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} contain NaN or infinite values")
+
+
+def _check_training_inputs(X, Y, config):
+    if X.shape[0] > MAX_ROWS:
+        raise ValidationError(f"at most {MAX_ROWS} training rows are supported, got {X.shape[0]}")
+    if config.max_features > X.shape[1]:
+        raise ValidationError(
+            f"max_features={config.max_features} exceeds feature dimension {X.shape[1]}"
+        )
+    _check_finite("training features", X)
+    _check_finite("training targets", Y)
+
+
+def _rank_table(X):
+    """(d, n) uint32 dense ranks of the columns of X; equal values share a rank.
+
+    CART depends only on the order of feature values, so trees grow on the
+    ranks and map each split back to the values of its node's samples.  One
+    column at a time keeps the temporaries small.
     """
-    m = yn.size
-    if m < 2:
-        return None
-    order = XnT.argsort(axis=1)
-    rows = np.arange(XnT.shape[0])[:, None]
-    sv = XnT[rows, order]
-    cs = yn[order].cumsum(axis=1)
-    csl = cs[:, :-1]
-    total = cs[:, -1:]
-    counts = np.arange(1, m, dtype=np.float64)
-    score = csl * csl
-    score *= 1.0 / counts
-    rem = total - csl
-    rem *= rem
-    rem *= 1.0 / counts[::-1]
-    score += rem
-    score[sv[:, 1:] <= sv[:, :-1]] = -np.inf
-    flat = int(score.argmax())
-    row, pos = divmod(flat, m - 1)
-    if score[row, pos] == -np.inf:
-        return None
-    a = sv[row, pos]
-    b = sv[row, pos + 1]
-    thr = a + (b - a) / 2.0
-    if thr >= b:  # float midpoint may round up; keep a <= thr < b so routing matches the fit
-        thr = a
-    return row, thr
+    ranks = np.empty((X.shape[1], X.shape[0]), dtype=np.uint32)
+    for j in range(X.shape[1]):
+        ranks[j] = np.unique(X[:, j], return_inverse=True)[1]
+    return ranks
+
+
+def _segments(counts):
+    starts = np.zeros(counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts, np.repeat(np.arange(counts.size), counts)
 
 
 def fit_tree(X, y, sample_indices, config, rng):
@@ -126,55 +129,136 @@ def fit_tree(X, y, sample_indices, config, rng):
     idx0 = np.asarray(sample_indices, dtype=np.intp)
     if idx0.size == 0:
         raise ValidationError("sample_indices must be nonempty")
-    if config.max_features > X.shape[1]:
-        raise ValidationError(
-            f"max_features={config.max_features} exceeds feature dimension {X.shape[1]}"
-        )
-    return _grow_tree(np.ascontiguousarray(X.T), y, idx0, config, rng)
+    if idx0.size > MAX_ROWS:
+        raise ValidationError(f"at most {MAX_ROWS} bootstrap samples are supported")
+    if idx0.min() < 0 or idx0.max() >= y.size:
+        raise ValidationError(f"sample_indices must lie in [0, {y.size})")
+    _check_training_inputs(X, y, config)
+    return _grow_by_level(X, _rank_table(X), y, idx0, config, rng)
 
 
-def _grow_tree(XT, y, idx0, config, rng):
-    # XT is the transposed feature matrix (d, n), row-contiguous
-    d = XT.shape[0]
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    value = [0.0]
-    stack = [(0, idx0, 0)]
-    while stack:
-        node_id, idx, depth = stack.pop()
-        yn = y[idx]
-        y_lo = yn.min()
-        y_hi = yn.max()
-        can_split = (
-            idx.size >= 2 * config.min_leaf_size
-            and (config.max_depth is None or depth < config.max_depth)
-            and y_hi > y_lo
-        )
-        split = None
-        if can_split:
-            feats = rng.choice(d, size=config.max_features, replace=False)
-            XnT = XT[feats[:, None], idx[None, :]]
-            split = _best_split(XnT, yn)
-        if split is None:
-            # a constant node keeps the exact constant, dodging mean() rounding
-            value[node_id] = float(y_lo) if y_hi == y_lo else float(yn.mean())
-            continue
-        row, thr = split
-        mask = XnT[row] <= thr
-        left_id = len(feature)
-        right_id = left_id + 1
-        for arrs in (feature, left, right):
-            arrs.extend((-1, -1))
-        threshold.extend((0.0, 0.0))
-        value.extend((0.0, 0.0))
-        feature[node_id] = int(feats[row])
-        threshold[node_id] = float(thr)
-        left[node_id] = left_id
-        right[node_id] = right_id
-        stack.append((right_id, idx[~mask], depth + 1))
-        stack.append((left_id, idx[mask], depth + 1))
+def _grow_by_level(X, ranks, y, samples, config, rng):
+    """Grow one CART tree breadth first, splitting every open node of a depth level at once.
+
+    samples holds the bootstrap row indices grouped by node, in node-id
+    order.  Per level, the splittable nodes draw their feature subsets in
+    one (nodes, d) draw, and the ranks of their samples on those features
+    form one (max_features, N) block, sorted once as packed (node, rank,
+    position) keys.  One prefix sum then scores every candidate split by
+    S_L^2/n_L + S_R^2/n_R, which is largest where the summed child squared
+    deviation is smallest; targets are centered per node to keep the sums
+    small.  A node takes its first maximum (lowest drawn-feature row, then
+    lowest position) and its threshold is the midpoint of its own two
+    adjacent values.  Node ids are breadth first, so children follow their
+    parent.
+    """
+    d, n = ranks.shape
+    flat_ranks = ranks.ravel()
+    levels = []
+    counts = np.array([samples.size])
+    depth = 0
+    while counts.size:
+        starts, _ = _segments(counts)
+        ys = y[samples]
+        y_lo = np.minimum.reduceat(ys, starts)
+        y_hi = np.maximum.reduceat(ys, starts)
+        mean = np.add.reduceat(ys, starts) / counts
+        # a constant node keeps the exact constant, dodging mean rounding
+        value = np.where(y_hi == y_lo, y_lo, mean)
+        feature = np.full(counts.size, -1, dtype=np.int32)
+        threshold = np.zeros(counts.size)
+        levels.append((feature, threshold, value))
+        splittable = (counts >= 2 * config.min_leaf_size) & (y_hi > y_lo)
+        if config.max_depth is not None and depth >= config.max_depth:
+            splittable[:] = False
+        ids = np.flatnonzero(splittable)
+        if not ids.size:
+            break
+        keep = np.repeat(splittable, counts)
+        samples = samples[keep]
+        counts = counts[ids]
+        starts, node = _segments(counts)
+        ends = starts + counts - 1
+        yc = ys[keep] - mean[ids][node]
+        cols = np.arange(samples.size)
+
+        feats = rng.random((ids.size, d)).argsort(axis=1)[:, : config.max_features]
+        # One buffer goes from flat rank-table index to rank to key; np.take
+        # keeps it in C order, which feats.T[:, node] would not.
+        key = np.take(feats.T, node, axis=1)
+        key *= n
+        key += samples
+        key[...] = flat_ranks[key]
+        key = key.view(np.uint64)
+        key <<= _KEY_BITS
+        key |= (node.astype(np.uint64) << (_KEY_BITS + _KEY_BITS)) | cols.astype(np.uint64)
+        key.sort(axis=1)
+        score = yc[key & _KEY_MASK]
+        flat_score = score.reshape(-1)
+        np.cumsum(flat_score, out=flat_score)
+        # The flat sum runs on across segments and rows.  With centered targets
+        # the sum before a segment is near zero; subtracting it keeps each
+        # node's sums free of the rounding carried in from the others.
+        before = flat_score[starts + cols.size * np.arange(score.shape[0])[:, None] - 1]
+        before[0, 0] = 0.0  # index -1 wrapped round to the last entry
+        total = score[:, ends] - before
+        score -= np.take(before, node, axis=1)  # S_L
+        rest = np.take(total, node, axis=1)
+        rest -= score  # S_R
+        n_left = (cols - starts[node] + 1).astype(np.float64)
+        n_right = counts[node] - n_left
+        n_right[ends] = 1.0  # keeps the division finite; these cuts are masked below
+        rest *= rest
+        rest /= n_right
+        score *= score
+        score /= n_left
+        score += rest
+        del rest
+        # Scores are >= 0; a cut between equal values or after a node's last
+        # sample is marked -1 (arithmetic, which beats a masked store here).
+        same = (key[:, 1:] ^ key[:, :-1]) < (_KEY_MASK + np.uint64(1))  # equal (node, rank)
+        score[:, :-1] *= ~same
+        score[:, :-1] -= same
+        del same
+        score[:, ends] = -1.0
+
+        row_best = np.maximum.reduceat(score, starts, axis=1)
+        best = row_best.max(axis=0)
+        row = (row_best == best).argmax(axis=0)
+        hits = np.flatnonzero(score[row[node], cols] == best[node])
+        pos = hits[np.searchsorted(hits, starts)]
+        del score
+        f = feats[np.arange(ids.size), row]
+        entry_a = key[row, pos]
+        rank_a = (entry_a >> _KEY_BITS) & _KEY_MASK
+        a = X[samples[entry_a & _KEY_MASK], f]
+        b = X[samples[key[row, pos + 1] & _KEY_MASK], f]
+        thr = a + (b - a) / 2.0
+        # float midpoint may round up; keep a <= thr < b so routing matches the fit
+        thr = np.where(thr >= b, a, thr)
+
+        ok = best >= 0.0
+        split_ids = ids[ok]
+        feature[split_ids] = f[ok]
+        threshold[split_ids] = thr[ok]
+        value[split_ids] = 0.0
+        slot = np.cumsum(ok) - 1
+        moving = ok[node]
+        node = node[moving]
+        samples = samples[moving]
+        go_right = flat_ranks[f[node] * n + samples] > rank_a[node]
+        child = 2 * slot[node] + go_right
+        route = child.argsort(kind="stable")
+        samples = samples[route]
+        counts = np.bincount(child, minlength=2 * split_ids.size)
+        depth += 1
+
+    feature, threshold, value = (np.concatenate(field) for field in zip(*levels))
+    internal = np.flatnonzero(feature >= 0)
+    left = np.full(feature.size, -1, dtype=np.int32)
+    right = np.full(feature.size, -1, dtype=np.int32)
+    left[internal] = 1 + 2 * np.arange(internal.size)
+    right[internal] = left[internal] + 1
     return RegressionTree(feature, threshold, left, right, value)
 
 
@@ -193,7 +277,7 @@ class RandomForestModel:
     config: ForestConfig
     target_names: list
     forests: list  # list (per target) of lists of RegressionTree
-    inbag_counts: list  # per target: (n_trees, n_train) bootstrap multiplicities
+    inbag_counts: list  # unused: None on every model; fit_forest turns them into oob_curves
     oob_curves: list  # per target: ndarray, mean relative OOB error after m trees
     feature_meta: object = None
     dataset_fingerprint: str | None = None
@@ -205,7 +289,7 @@ class RandomForestModel:
             if len(trees) != self.config.n_trees:
                 raise ValidationError("each ensemble must have exactly config.n_trees trees")
 
-    @property
+    @cached_property
     def n_features(self):
         """Highest feature index any tree splits on, plus one; None for all-leaf forests."""
         highest = -1
@@ -226,6 +310,7 @@ class RandomForestModel:
         exactly, so constant forests reproduce constants bit-for-bit.
         """
         X = np.asarray(X, dtype=np.float64)
+        _check_finite("features", X)
         out = np.zeros((X.shape[0], len(self.target_names)))
         for t, trees in enumerate(self.forests):
             acc = np.zeros(X.shape[0])
@@ -260,8 +345,9 @@ def predict(model, x):
 def oob_curve(trees, inbag_counts, X, y):
     """Mean |pred - y| / |y| over OOB samples, after each prefix of the ensemble.
 
-    Samples never left out of bag are skipped; exact predictions count as
-    zero error even at y == 0.
+    inbag_counts holds, per tree, each sample's bootstrap multiplicity or an
+    in-bag mask; zero means out of bag.  Samples never left out of bag are
+    skipped; exact predictions count as zero error even at y == 0.
     """
     n = y.size
     sum_pred = np.zeros(n)
@@ -292,14 +378,17 @@ def oob_curve(trees, inbag_counts, X, y):
     return curve
 
 
-def _fit_one_tree(XcT, yc, config, target_index, tree_index, n):
+def _fit_one_tree(Xc, ranks, yc, config, target_index, tree_index):
+    n = yc.size
     rng = np.random.default_rng([config.rng_seed, target_index, tree_index])
     if config.bootstrap == "identity":
         boot = np.arange(n)
     else:
-        boot = rng.integers(0, n, size=n)
-    tree = _grow_tree(XcT, yc, boot, config, rng)
-    return tree, np.bincount(boot, minlength=n)
+        # sorted, so each node's samples stay in row order: the gathers walk memory forward
+        boot = np.sort(rng.integers(0, n, size=n))
+    tree = _grow_by_level(Xc, ranks, yc, boot, config, rng)
+    # oob_curve needs only which rows were drawn; a bool mask is 8x smaller than counts
+    return tree, np.bincount(boot, minlength=n) > 0
 
 
 def fit_forest(X, Y, config, target_names=None, threads=1):
@@ -310,11 +399,9 @@ def fit_forest(X, Y, config, target_names=None, threads=1):
         Y = Y[:, None]
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValidationError(f"X rows ({X.shape}) must match Y rows ({Y.shape})")
-    n, d = X.shape
-    if n < 2:
+    if X.shape[0] < 2:
         raise ValidationError("need at least 2 training samples")
-    if config.max_features > d:
-        raise ValidationError(f"max_features={config.max_features} exceeds feature dimension {d}")
+    _check_training_inputs(X, Y, config)
     if target_names is None:
         target_names = [f"target_{t}" for t in range(Y.shape[1])]
     if len(target_names) != Y.shape[1]:
@@ -322,28 +409,27 @@ def fit_forest(X, Y, config, target_names=None, threads=1):
 
     canon = _canonical_order(X, Y)
     Xc = np.ascontiguousarray(X[canon])
-    XcT = np.ascontiguousarray(Xc.T)
-    Yc = Y[canon]
+    Yc = np.ascontiguousarray(Y[canon].T)
+    ranks = _rank_table(Xc)
 
-    forests = []
-    inbag_all = []
-    curves = []
+    def fit(job):
+        t, i = job
+        return _fit_one_tree(Xc, ranks, Yc[t], config, t, i)
+
     jobs = [(t, i) for t in range(Y.shape[1]) for i in range(config.n_trees)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda ti: _fit_one_tree(XcT, Yc[:, ti[0]], config, ti[0], ti[1], n), jobs)
-            )
+            results = list(pool.map(fit, jobs))
     else:
-        results = [_fit_one_tree(XcT, Yc[:, t], config, t, i, n) for t, i in jobs]
+        results = [fit(job) for job in jobs]
+    forests = []
+    curves = []
     for t in range(Y.shape[1]):
         chunk = results[t * config.n_trees : (t + 1) * config.n_trees]
         trees = [tree for tree, _ in chunk]
-        inbag = np.stack([ib for _, ib in chunk])
         forests.append(trees)
-        inbag_all.append(inbag)
-        curves.append(oob_curve(trees, inbag, Xc, Yc[:, t]))
-    return RandomForestModel(config, list(target_names), forests, inbag_all, curves)
+        curves.append(oob_curve(trees, [inbag for _, inbag in chunk], Xc, Yc[t]))
+    return RandomForestModel(config, list(target_names), forests, None, curves)
 
 
 def slice_forest(model, n_trees):
@@ -358,7 +444,7 @@ def slice_forest(model, n_trees):
         replace(model.config, n_trees=n_trees),
         list(model.target_names),
         [trees[:n_trees] for trees in model.forests],
-        None if model.inbag_counts is None else [ib[:n_trees] for ib in model.inbag_counts],
+        None,
         [None if c is None else c[:n_trees] for c in model.oob_curves],
         feature_meta=model.feature_meta,
         dataset_fingerprint=model.dataset_fingerprint,

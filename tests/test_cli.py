@@ -181,6 +181,23 @@ class TestPredict:
         assert "Cr" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_feature_bin_exits_2(self, tmp_path, capsys):
+        data = simulate(tmp_path, n=6)
+        model_path = self._train(tmp_path, data)
+        ds = fileio.read_dataset(data)
+        values = ds.values.copy()
+        # a bin inside the feature window, away from the Cr window (2.95-3.10 ppm)
+        values[3, np.argmin(np.abs(ds.ppm_axis - 2.0))] = np.nan
+        bad = tmp_path / "bad.json"
+        fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, ds.ppm_axis, values,
+                                          ds.target_names, ds.labels))
+        out = tmp_path / "pred.csv"
+        code = main(["predict", "--model", str(model_path), "--spectra", str(bad),
+                     "--output", str(out)])
+        assert code == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_with_other_feature_kind_exits_2(self, tmp_path):
         data = simulate(tmp_path, n=6)
         model_path = self._train(tmp_path, data)

@@ -3,6 +3,7 @@ import pytest
 
 from mrsquant.errors import ValidationError
 from mrsquant.forest import (
+    MAX_ROWS,
     ForestConfig,
     RandomForestModel,
     fit_forest,
@@ -84,6 +85,10 @@ class TestFitTree:
         with pytest.raises(ValidationError):
             fit_tree(np.zeros((4, 2)), np.zeros(4), np.array([]), single_tree_config(),
                      np.random.default_rng(0))
+        for outside in (-1, 4):
+            with pytest.raises(ValidationError):
+                fit_tree(np.zeros((4, 2)), np.zeros(4), np.array([0, outside]),
+                         single_tree_config(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_root_split_matches_brute_force_1d(self, n):
@@ -110,6 +115,75 @@ class TestFitTree:
             best = brute_force_best_cost(X, y)
             got = partition_cost(X, y, tree.feature[0], tree.threshold[0])
             assert got <= best + 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_internal_split_matches_brute_force(self, seed):
+        # Values on a 0.1 grid plus a column that is exactly 1.0 in most rows, as
+        # Cr-normalized features are: many ties, where segment-boundary slips
+        # in a level-wise search would show.
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(30, 61))
+        X = np.round(rng.uniform(0, 3, size=(n, 3)), 1)
+        X[:, 1] = np.where(rng.random(n) < 0.7, 1.0, np.round(rng.uniform(0, 2, size=n), 1))
+        y = np.round(rng.uniform(0, 5, size=n), 1)
+        tree = fit_tree(X, y, np.arange(n), single_tree_config(max_features=3),
+                        np.random.default_rng(seed))
+        checked = 0
+        stack = [(0, np.arange(n))]
+        while stack:
+            node, rows = stack.pop()
+            f = tree.feature[node]
+            if f < 0:
+                continue
+            go_left = X[rows, f] <= tree.threshold[node]
+            assert 0 < go_left.sum() < rows.size
+            got = partition_cost(X[rows], y[rows], f, tree.threshold[node])
+            assert got == pytest.approx(brute_force_best_cost(X[rows], y[rows]), abs=1e-9)
+            checked += 1
+            stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
+        assert checked >= 5
+
+    def test_threshold_is_midpoint_of_the_nodes_own_values(self):
+        # rows 1 and 2 are outside the sample, so 0 and 3 are adjacent in the node
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 5.0, 5.0, 10.0])
+        tree = fit_tree(X, y, np.array([0, 3]), single_tree_config(), np.random.default_rng(0))
+        assert tree.threshold[0] == 1.5
+
+    @pytest.mark.parametrize("a", [1.0, np.nextafter(1.0, 2.0)])
+    def test_threshold_that_rounds_up_falls_back_to_lower_value(self, a):
+        # the midpoint of two adjacent doubles rounds to one of them; with a
+        # mantissa ending in 1 it rounds up to b and would send b left
+        b = np.nextafter(a, 2.0)
+        X = np.array([[a], [b]])
+        y = np.array([0.0, 1.0])
+        tree = fit_tree(X, y, np.arange(2), single_tree_config(), np.random.default_rng(0))
+        assert tree.threshold[0] == a
+        assert tree.predict_batch(X).tolist() == [0.0, 1.0]
+
+    def test_more_rows_than_the_packed_key_holds_rejected(self):
+        config = single_tree_config()
+        many = np.broadcast_to(np.zeros(1, dtype=np.intp), (MAX_ROWS + 1,))
+        with pytest.raises(ValidationError):
+            fit_tree(np.zeros((2, 1)), np.arange(2.0), many, config, np.random.default_rng(0))
+        X = np.broadcast_to(np.zeros((1, 1)), (MAX_ROWS + 1, 1))
+        with pytest.raises(ValidationError):
+            fit_forest(X, np.broadcast_to(np.zeros(1), (MAX_ROWS + 1,)), config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_input_rejected(self, bad):
+        X = np.arange(12, dtype=float).reshape(6, 2)
+        y = np.arange(6, dtype=float)
+        X_bad = X.copy()
+        X_bad[2, 1] = bad
+        y_bad = y.copy()
+        y_bad[4] = bad
+        config = single_tree_config()
+        for args in ((X_bad, y), (X, y_bad)):
+            with pytest.raises(ValidationError):
+                fit_forest(*args, config)
+            with pytest.raises(ValidationError):
+                fit_tree(*args, np.arange(6), config, np.random.default_rng(0))
 
 
 def predict_single(tree, x):
@@ -143,10 +217,11 @@ class TestFitForest:
         X, y = self._data(n=80)
         config = ForestConfig(n_trees=8, max_features=3, min_leaf_size=2, rng_seed=7)
         serial = fit_forest(X, y, config, threads=1)
-        threaded = fit_forest(X, y, config, threads=4)
-        for ta, tb in zip(serial.forests[0], threaded.forests[0]):
-            assert ta.equals(tb)
-        assert np.array_equal(serial.oob_curves[0], threaded.oob_curves[0])
+        for threads in (2, 4):
+            threaded = fit_forest(X, y, config, threads=threads)
+            for ta, tb in zip(serial.forests[0], threaded.forests[0]):
+                assert ta.equals(tb)
+            assert np.array_equal(serial.oob_curves[0], threaded.oob_curves[0])
 
     def test_constant_target(self):
         X, _ = self._data()
@@ -172,6 +247,20 @@ class TestFitForest:
         model_b = fit_forest(X[perm], y[perm], config)
         probe = np.random.default_rng(6).normal(size=(30, X.shape[1]))
         assert np.array_equal(model_a.predict_matrix(probe), model_b.predict_matrix(probe))
+
+    def test_permutation_invariance_with_tied_values(self):
+        X, y = self._data(n=60)
+        X = np.round(X, 1)
+        X[::3, 1] = 1.0
+        X[5] = X[17]
+        y[5] = y[17]  # a duplicated row, too
+        config = ForestConfig(n_trees=6, max_features=3, min_leaf_size=2, rng_seed=11)
+        model_a = fit_forest(X, y, config)
+        perm = np.random.default_rng(5).permutation(60)
+        model_b = fit_forest(X[perm], y[perm], config)
+        for ta, tb in zip(model_a.forests[0], model_b.forests[0]):
+            assert ta.equals(tb)
+        assert np.array_equal(model_a.oob_curves[0], model_b.oob_curves[0])
 
     def test_monotone_feature_transform_invariance(self):
         # thresholds are midpoints of node sample values, so routing is purely
@@ -221,8 +310,9 @@ class TestFitForest:
         config = ForestConfig(n_trees=4, max_features=3, min_leaf_size=3, rng_seed=21)
         both = fit_forest(X, np.column_stack([y0, y1]), config, target_names=["a", "b"])
         only_b = RandomForestModel(
-            config, ["b"], [both.forests[1]], [both.inbag_counts[1]], [both.oob_curves[1]]
+            config, ["b"], [both.forests[1]], None, [both.oob_curves[1]]
         )
+        assert both.inbag_counts is None
         probe = np.random.default_rng(8).normal(size=(20, X.shape[1]))
         assert np.array_equal(both.predict_matrix(probe)[:, 1], only_b.predict_matrix(probe)[:, 0])
 
@@ -254,6 +344,17 @@ class TestFitForest:
         model = fit_forest(X, y, config)
         with pytest.raises(ValidationError):
             predict(model, X[0][:2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected_at_predict(self, bad):
+        X, y = self._data(n=30)
+        model = fit_forest(X, y, ForestConfig(n_trees=2, max_features=3, rng_seed=5))
+        x = X[0].copy()
+        x[3] = bad
+        with pytest.raises(ValidationError):
+            predict(model, x)
+        with pytest.raises(ValidationError):
+            model.predict_matrix(np.vstack([X[:2], x]))
 
     def test_max_features_above_dimension_rejected(self):
         with pytest.raises(ValidationError):
