@@ -21,8 +21,8 @@ from .evaluate import (
     run_experiment,
 )
 from .forest import ForestConfig, RandomForestModel, RegressionTree, fit_forest, fit_tree, predict
-from .lsqfit import FitResult, fit_ratios, lsq_fit
-from .preprocess import FeatureVector, crop_ppm, normalize_to_reference, resample
+from .lsqfit import lsq_fit
+from .preprocess import crop_ppm
 from .signal import (
     AcquisitionParams,
     ComplexSpectrum,

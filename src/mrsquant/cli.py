@@ -123,7 +123,6 @@ def _forest_config_from_args(args, required_seed=True):
         min_leaf_size=args.min_leaf,
         max_depth=max_depth,
         rng_seed=args.seed if args.seed is not None else 0,
-        bootstrap=args.bootstrap,
     )
 
 
@@ -267,7 +266,6 @@ def build_parser():
     p.add_argument("--max-features", type=int, default=64, dest="max_features")
     p.add_argument("--min-leaf", type=int, default=5, dest="min_leaf")
     p.add_argument("--max-depth", default=None, dest="max_depth")
-    p.add_argument("--bootstrap", choices=["sample", "identity"], default="sample")
     p.add_argument("--oob-csv", dest="oob_csv")
     p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_train)

@@ -55,6 +55,20 @@ class Dataset:
             return None
         return {name: float(v) for name, v in zip(self.target_names, self.labels[i])}
 
+    def take(self, idx):
+        """The spectra at the integer indices idx, with their labels and truth."""
+        return Dataset(
+            params=self.params,
+            reference_ppm=self.reference_ppm,
+            ppm_axis=self.ppm_axis,
+            values=self.values[idx],
+            target_names=self.target_names,
+            labels=self.labels[idx] if self.labels is not None else None,
+            truth_params=[self.truth_params[i] for i in idx] if self.truth_params else None,
+            config=self.config,
+            fingerprint=self.fingerprint,
+        )
+
 
 def dataset_from_labeled(labeled, config_dict=None, target_names=None):
     """Stack simulator output into a Dataset; label order follows target_names."""

@@ -6,12 +6,12 @@ by order statistics of those errors plus the Pearson correlation between
 estimates and truths ("pearson_r" in reports).
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UndefinedResultError, ValidationError
+from .fileio import forest_config_to_dict
 from .pipeline import basis_for_dataset, oracle_ratios, predict_dataset, train_model
 
 EXPERIMENT_NAMES = (
@@ -190,10 +190,6 @@ def _assemble_report(spec, targets, truth, forest_est, oracle_est, oracle_ok, tr
     )
 
 
-def _oracle_truth(dataset, targets, spec):
-    return oracle_ratios(dataset, targets, spec.baseline_degree)
-
-
 def run_experiment(spec, datasets, threads=1):
     """Train, predict, and score one of the four experiment designs.
 
@@ -205,10 +201,7 @@ def run_experiment(spec, datasets, threads=1):
                                truth_source="simulation_labels", threads=threads)
     if spec.name == "real-real-spectra":
         return _run_kfold(spec, datasets["data"], threads=threads)
-    if spec.name == "real-real-images":
-        return _run_train_test(spec, datasets["train"], datasets["test"],
-                               truth_source="oracle_fit", threads=threads)
-    if spec.name == "synthetic-real-images":
+    if spec.name in ("real-real-images", "synthetic-real-images"):
         return _run_train_test(spec, datasets["train"], datasets["test"],
                                truth_source="oracle_fit", threads=threads)
     raise ValidationError(f"unknown experiment {spec.name!r}")
@@ -233,12 +226,12 @@ def _run_train_test(spec, train, test, truth_source, threads):
         keep = np.ones(test.n_spectra, dtype=bool)
     else:
         targets = _real_targets(train)
-        train_y_all, train_ok = _oracle_truth(train, targets, spec)
+        train_y_all, train_ok = oracle_ratios(train, targets, spec.baseline_degree)
         if not train_ok.all():
             notes["train_oracle_failures"] = int((~train_ok).sum())
-        train_ds = _take(train, np.nonzero(train_ok)[0])
+        train_ds = train.take(np.nonzero(train_ok)[0])
         train_y = train_y_all[train_ok]
-        truth, keep = _oracle_truth(test, targets, spec)
+        truth, keep = oracle_ratios(test, targets, spec.baseline_degree)
         if not keep.all():
             notes["test_oracle_failures"] = int((~keep).sum())
         truth = truth[keep]
@@ -248,13 +241,13 @@ def _run_train_test(spec, train, test, truth_source, threads):
 
     oracle_est = oracle_ok = None
     if truth_source == "simulation_labels":
-        oracle_est, oracle_ok = _oracle_truth(test, targets, spec)
+        oracle_est, oracle_ok = oracle_ratios(test, targets, spec.baseline_degree)
         if not oracle_ok.all():
             notes["oracle_failures"] = int((~oracle_ok).sum())
     inputs = {
         "train_dataset_fingerprint": train.fingerprint,
         "test_dataset_fingerprint": test.fingerprint,
-        "forest_config": _forest_config_dict(spec.forest),
+        "forest_config": forest_config_to_dict(spec.forest),
         "oracle": {"baseline_degree": spec.baseline_degree},
     }
     return _assemble_report(spec, targets, truth, forest_est, oracle_est, oracle_ok,
@@ -263,7 +256,7 @@ def _run_train_test(spec, train, test, truth_source, threads):
 
 def _run_kfold(spec, data, threads):
     targets = _real_targets(data)
-    truth_all, ok = _oracle_truth(data, targets, spec)
+    truth_all, ok = oracle_ratios(data, targets, spec.baseline_degree)
     notes = {}
     if not ok.all():
         notes["oracle_failures"] = int((~ok).sum())
@@ -278,18 +271,18 @@ def _run_kfold(spec, data, threads):
         train_mask[fold] = False
         train_idx = usable[train_mask]
         model = train_model(
-            _take(data, train_idx),
+            data.take(train_idx),
             spec.forest,
             labels=truth_all[train_idx],
             target_names=targets,
             threads=threads,
         )
-        forest_est[test_idx] = predict_dataset(model, _take(data, test_idx),
+        forest_est[test_idx] = predict_dataset(model, data.take(test_idx),
                                                allow_resample=spec.allow_resample)
     inputs = {
         "train_dataset_fingerprint": data.fingerprint,
         "test_dataset_fingerprint": data.fingerprint,
-        "forest_config": _forest_config_dict(spec.forest),
+        "forest_config": forest_config_to_dict(spec.forest),
         "oracle": {"baseline_degree": spec.baseline_degree},
     }
     return _assemble_report(spec, targets, truth_all[usable], forest_est[usable], None, None,
@@ -298,27 +291,6 @@ def _run_kfold(spec, data, threads):
 
 def _real_targets(dataset):
     # Ratio targets for oracle-labeled runs: every basis metabolite except Cr.
-    basis = basis_for_dataset(dataset)
     if dataset.target_names:
         return list(dataset.target_names)
-    return [f"{n}/Cr" for n in basis.names if n != "Cr"]
-
-
-def _forest_config_dict(config):
-    return dataclasses.asdict(config)
-
-
-def _take(dataset, idx):
-    from .dataset import Dataset
-
-    return Dataset(
-        params=dataset.params,
-        reference_ppm=dataset.reference_ppm,
-        ppm_axis=dataset.ppm_axis,
-        values=dataset.values[idx],
-        target_names=dataset.target_names,
-        labels=dataset.labels[idx] if dataset.labels is not None else None,
-        truth_params=[dataset.truth_params[i] for i in idx] if dataset.truth_params else None,
-        config=dataset.config,
-        fingerprint=dataset.fingerprint,
-    )
+    return [f"{n}/Cr" for n in basis_for_dataset(dataset).names if n != "Cr"]

@@ -201,14 +201,33 @@ def write_dataset(path, dataset):
         f.write("]}\n")
 
 
+def _record_spectrum(path, i, record, n_points):
+    try:
+        return decode_spectrum(record["spectrum_b64"], n_points)
+    except (KeyError, TypeError, AttributeError, ValueError, FileFormatError) as e:
+        raise FileFormatError(f"{path}: record {i} has no readable spectrum_b64: {e}") from e
+
+
 def read_dataset(path):
+    """Dataset from a file; a missing field, unreadable record or NaN/inf value raises FileFormatError."""
     data = _load_json(path, "mrsquant-dataset")
-    params = acquisition_from_dict(data["acquisition"])
-    records = data["records"]
+    try:
+        params = acquisition_from_dict(data["acquisition"])
+        records = data["records"]
+        target_names = list(data["target_names"])
+        reference_ppm = data["reference_ppm"]
+        ppm = np.asarray(data["ppm_axis"], dtype=np.float64)
+    except KeyError as e:
+        raise FileFormatError(f"{path}: missing field {e}") from e
     if len(records) == 0:
         raise ValidationError(f"{path}: dataset holds no spectra")
-    target_names = list(data["target_names"])
-    values = np.stack([decode_spectrum(r["spectrum_b64"], params.n_points) for r in records])
+    values = np.stack([_record_spectrum(path, i, r, params.n_points) for i, r in enumerate(records)])
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise FileFormatError(
+            f"{path}: record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
+            f"{bad.size} records do"
+        )
     have_labels = all(r.get("labels") for r in records) and target_names
     labels = None
     if have_labels:
@@ -219,8 +238,8 @@ def read_dataset(path):
     truth = [r.get("truth_params") for r in records]
     return Dataset(
         params=params,
-        reference_ppm=data["reference_ppm"],
-        ppm_axis=np.asarray(data["ppm_axis"], dtype=np.float64),
+        reference_ppm=reference_ppm,
+        ppm_axis=ppm,
         values=values,
         target_names=target_names,
         labels=labels,

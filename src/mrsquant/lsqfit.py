@@ -6,27 +6,10 @@ in-repo comparison baseline for the forest and the stand-in ground truth
 for datasets playing the role of fitted in-vivo data.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import render_metabolite
-from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
-
-
-@dataclass(frozen=True)
-class FitResult:
-    concentrations: dict
-    baseline_coeffs: np.ndarray
-    residual_norm: float
-    rank_deficient: bool = False
-
-    def __post_init__(self):
-        if self.residual_norm < 0:
-            raise ValidationError("residual_norm must be >= 0")
-        for name, v in self.concentrations.items():
-            if not np.isfinite(v):
-                raise ValidationError(f"non-finite concentration for {name}")
+from .errors import GridCompatibilityError, ValidationError
 
 
 def _match_bins(spec_axis, basis_axis):
@@ -40,7 +23,8 @@ def _match_bins(spec_axis, basis_axis):
     tol = 1e-6 * (basis_axis[0] - basis_axis[-1])
     if np.any(np.abs(basis_axis[pick] - spec_axis) > tol):
         raise GridCompatibilityError(
-            "spectrum bins do not lie on the basis grid; resample the spectrum first"
+            "spectrum bins do not lie on the basis grid; render the basis at the "
+            "spectrum's acquisition"
         )
     return pick
 
@@ -61,61 +45,30 @@ def polynomial_columns(n, degree):
     return np.column_stack([x**k for k in range(degree + 1)])
 
 
-def lsq_fit(spec, basis, baseline_degree=4):
-    """Least-squares concentrations of every basis metabolite plus a polynomial baseline.
-
-    Negative coefficients are reported as-is; a rank-deficient design is
-    flagged and the minimum-norm solution returned.
-    """
-    if baseline_degree < 0 or int(baseline_degree) != baseline_degree:
-        raise ValidationError(f"baseline_degree must be an integer >= 0, got {baseline_degree}")
-    target = spec.values.real
-    B = basis_design_matrix(basis, spec.ppm_axis)
-    P = polynomial_columns(target.size, baseline_degree)
-    A = np.hstack([B, P])
-    theta, _, rank, _ = np.linalg.lstsq(A, target, rcond=None)
-    residual = target - A @ theta
-    k = len(basis.names)
-    return FitResult(
-        concentrations={name: float(c) for name, c in zip(basis.names, theta[:k])},
-        baseline_coeffs=theta[k:],
-        residual_norm=float(np.linalg.norm(residual)),
-        rank_deficient=rank < A.shape[1],
-    )
-
-
-def fit_ratios(result):
-    """Each metabolite coefficient divided by the Cr coefficient."""
-    if "Cr" not in result.concentrations:
-        raise UndefinedResultError("fit has no Cr coefficient; ratios are undefined")
-    cr = result.concentrations["Cr"]
-    if cr <= 0:
-        raise UndefinedResultError(f"Cr coefficient is {cr}; ratios over a non-positive Cr are undefined")
-    return {
-        f"{name}/Cr": v / cr for name, v in result.concentrations.items() if name != "Cr"
-    }
-
-
 def lsq_fit_batch(real_rows, basis, spec_axis, baseline_degree=4):
     """Fit many spectra sharing one grid in a single least-squares solve.
 
-    real_rows is (n_spectra, n_bins) of real parts.  Returns one FitResult
-    per row, matching lsq_fit on the corresponding single spectrum.
+    real_rows is (n_spectra, n_bins) of real parts on the bins spec_axis.
+    Returns the (n_spectra, n_basis + baseline_degree + 1) coefficients:
+    the concentrations in basis.names order, then the baseline terms.
+    Negative coefficients are returned as-is; a rank-deficient design gets
+    the minimum-norm solution.
     """
+    if baseline_degree < 0 or int(baseline_degree) != baseline_degree:
+        raise ValidationError(f"baseline_degree must be an integer >= 0, got {baseline_degree}")
     rows = np.asarray(real_rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValidationError(
+            f"{bad.size} spectra hold non-finite values (first: row {bad[0]}); they cannot be fit"
+        )
     B = basis_design_matrix(basis, spec_axis)
     P = polynomial_columns(rows.shape[1], baseline_degree)
-    A = np.hstack([B, P])
-    theta, _, rank, _ = np.linalg.lstsq(A, rows.T, rcond=None)
-    residual_norms = np.linalg.norm(rows.T - A @ theta, axis=0)
-    k = len(basis.names)
-    deficient = rank < A.shape[1]
-    return [
-        FitResult(
-            concentrations={name: float(c) for name, c in zip(basis.names, theta[:k, i])},
-            baseline_coeffs=theta[k:, i],
-            residual_norm=float(residual_norms[i]),
-            rank_deficient=deficient,
-        )
-        for i in range(rows.shape[0])
-    ]
+    theta = np.linalg.lstsq(np.hstack([B, P]), rows.T, rcond=None)[0]
+    return theta.T
+
+
+def lsq_fit(spec, basis, baseline_degree=4):
+    """{metabolite: least-squares concentration} for one spectrum."""
+    theta = lsq_fit_batch(spec.values.real[None, :], basis, spec.ppm_axis, baseline_degree)[0]
+    return {name: float(c) for name, c in zip(basis.names, theta)}

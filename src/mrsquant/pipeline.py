@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import default_brain_basis
-from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
+from .errors import GridCompatibilityError, ValidationError
 from .forest import fit_forest
-from .lsqfit import fit_ratios, lsq_fit_batch
+from .lsqfit import lsq_fit_batch
 from .preprocess import CROP_HI_PPM, CROP_LO_PPM, cr_normalize, dtft_matrix, grids_match
 
 # Names the feature normalization; model files carrying any other kind are refused.
@@ -113,21 +113,18 @@ def oracle_ratios(dataset, target_names, baseline_degree=4, basis=None,
     NaN rows for unusable fits (non-positive Cr) and ok flags the rest.
     """
     basis = basis_for_dataset(dataset, basis)
+    if "Cr" not in basis.names:
+        raise ValidationError("oracle basis has no Cr; Cr ratios are undefined")
+    ratio_cols = {f"{name}/Cr": j for j, name in enumerate(basis.names) if name != "Cr"}
+    missing = [t for t in target_names if t not in ratio_cols]
+    if missing:
+        raise ValidationError(f"oracle basis does not produce target {missing[0]!r}")
+    cols = [ratio_cols[t] for t in target_names]
     mask = _window_mask(dataset.ppm_axis, hi, lo)
-    axis = dataset.ppm_axis[mask]
-    rows = dataset.values[:, mask].real
-    fits = lsq_fit_batch(rows, basis, axis, baseline_degree)
-    n = dataset.n_spectra
-    est = np.full((n, len(target_names)), np.nan)
-    ok = np.zeros(n, dtype=bool)
-    for i, fit in enumerate(fits):
-        try:
-            ratios = fit_ratios(fit)
-        except UndefinedResultError:
-            continue
-        try:
-            est[i] = [ratios[t] for t in target_names]
-        except KeyError as e:
-            raise ValidationError(f"oracle basis does not produce target {e}") from e
-        ok[i] = True
+    conc = lsq_fit_batch(dataset.values[:, mask].real, basis, dataset.ppm_axis[mask],
+                         baseline_degree)
+    cr = conc[:, basis.names.index("Cr")]
+    ok = cr > 0
+    est = np.full((dataset.n_spectra, len(cols)), np.nan)
+    est[ok] = conc[ok][:, cols] / cr[ok, None]
     return est, ok

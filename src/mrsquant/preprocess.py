@@ -6,13 +6,7 @@ spectrum's own creatine peak, so they are ratios to Cr like the labels.
 Spectra acquired under a different protocol are carried onto the model
 grid by evaluating their discrete-time Fourier transform exactly at the
 grid frequencies (``dtft_matrix``), which keeps every peak's height.
-
-``resample`` (linear interpolation) and the reference-spectrum helpers
-remain for callers of the library; the model's feature path does not use
-them.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,28 +20,6 @@ CROP_LO_PPM = 0.2
 # normalizer of every feature row (8 bins of a 2500 Hz / 1024-point grid).
 CR_HI_PPM = 3.10
 CR_LO_PPM = 2.95
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Real-valued model input sampled on a fixed ppm grid."""
-
-    values: np.ndarray
-    ppm_grid: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        grid = np.asarray(self.ppm_grid, dtype=np.float64)
-        if values.shape != grid.shape or values.ndim != 1:
-            raise ValidationError("feature values and ppm_grid must be 1-D arrays of equal length")
-        values.flags.writeable = False
-        grid.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "ppm_grid", grid)
-
-    @property
-    def max_magnitude(self):
-        return float(np.max(np.abs(self.values)))
 
 
 def crop_ppm(spec, hi, lo):
@@ -73,23 +45,6 @@ def crop_ppm(spec, hi, lo):
         repetition_time=spec.params.repetition_time,
     )
     return ComplexSpectrum(spec.values[mask], spec.ppm_axis[mask], params)
-
-
-def resample(spec, target_grid):
-    """Complex values linearly interpolated onto target_grid (ppm), part by part."""
-    target = np.asarray(target_grid, dtype=np.float64)
-    lo, hi = spec.ppm_axis[-1], spec.ppm_axis[0]
-    if np.any(target < lo) or np.any(target > hi):
-        raise GridCompatibilityError(
-            f"target grid [{target.min():.4f}, {target.max():.4f}] ppm exceeds the "
-            f"spectrum span [{lo:.4f}, {hi:.4f}]"
-        )
-    # np.interp wants ascending abscissae; ppm axes are descending
-    src = spec.ppm_axis[::-1]
-    vals = spec.values[::-1]
-    real = np.interp(target, src, vals.real)
-    imag = np.interp(target, src, vals.imag)
-    return real + 1j * imag
 
 
 def dtft_matrix(ppm_axis, params, target_grid):
@@ -143,56 +98,7 @@ def cr_normalize(rows, grid):
     return rows / peaks[:, None]
 
 
-def normalize_to_reference(vec, reference):
-    """Real part of vec scaled so its tallest magnitude matches the reference's.
-
-    Scale-invariant: multiplying vec by any positive constant leaves the
-    result unchanged.
-    """
-    real = np.real(np.asarray(vec))
-    peak = np.max(np.abs(real))
-    if peak == 0:
-        raise ValidationError("cannot normalize an all-zero vector")
-    return FeatureVector(real * (reference.max_magnitude / peak), reference.ppm_grid)
-
-
 def grids_match(a, b, tol=1e-9):
     a = np.asarray(a)
     b = np.asarray(b)
     return a.shape == b.shape and bool(np.all(np.abs(a - b) <= tol))
-
-
-def spectrum_to_features(spec, grid, reference, hi=CROP_HI_PPM, lo=CROP_LO_PPM, allow_resample=True):
-    """Full pipeline: crop to the window, resample onto the model grid if needed, normalize.
-
-    The crop is widened by one source bin on each side before resampling so
-    the model grid's edge points stay inside the interpolation span.
-    """
-    cropped = crop_ppm(spec, hi, lo)
-    if grids_match(cropped.ppm_axis, grid):
-        return normalize_to_reference(cropped.values, reference)
-    if not allow_resample:
-        raise GridCompatibilityError(
-            f"spectrum grid ({cropped.params.n_points} points) does not match the model grid "
-            f"({len(grid)} points) and preprocessing is disabled"
-        )
-    margin = spec.params.ppm_per_bin
-    widened = crop_ppm(spec, hi + margin, lo - margin)
-    return normalize_to_reference(resample(widened, grid), reference)
-
-
-def choose_reference(feature_rows, grid):
-    """Training reference: the row whose peak magnitude is the median over the set.
-
-    Ties and even counts resolve to the lower median, so the choice is
-    deterministic for a fixed training order.
-    """
-    rows = np.asarray(feature_rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValidationError("need a nonempty 2-D array of feature rows")
-    peaks = np.max(np.abs(rows), axis=1)
-    if np.any(peaks == 0):
-        raise ValidationError("training set contains an all-zero feature row")
-    order = np.argsort(peaks, kind="stable")
-    median_row = int(order[(rows.shape[0] - 1) // 2])
-    return FeatureVector(rows[median_row], grid), median_row

@@ -9,6 +9,8 @@ import pytest
 from mrsquant import fileio
 from mrsquant.cli import main, resolve_threads
 from mrsquant.dataset import Dataset
+from mrsquant.forest import ForestConfig
+from mrsquant.pipeline import train_model
 
 ACQ_SMALL = {"spectral_width_hz": 2500.0, "n_points": 256, "transmitter_freq_mhz": 127.7,
              "echo_time_ms": 35.0, "repetition_time_ms": 2000.0}
@@ -122,14 +124,64 @@ class TestTrain:
         assert code == 2
 
 
+class TestUnreadableDataset:
+    """A malformed dataset file exits 2 with a message naming what is wrong."""
+
+    def _rewritten(self, tmp_path, data, edit):
+        doc = json.loads(data.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return bad
+
+    def _train(self, tmp_path, data):
+        return main(["train", "--dataset", str(data), "--output", str(tmp_path / "m.json"),
+                     "--seed", "1", "--trees", "1", "--max-features", "8"])
+
+    def test_missing_acquisition_exits_2(self, tmp_path, capsys):
+        bad = self._rewritten(tmp_path, simulate(tmp_path, n=6), lambda doc: doc.pop("acquisition"))
+        assert self._train(tmp_path, bad) == 2
+        assert "acquisition" in capsys.readouterr().err
+
+    def test_corrupt_spectrum_exits_2(self, tmp_path, capsys):
+        def corrupt(doc):
+            doc["records"][4]["spectrum_b64"] = "not base64!"
+
+        bad = self._rewritten(tmp_path, simulate(tmp_path, n=6), corrupt)
+        assert self._train(tmp_path, bad) == 2
+        assert "record 4" in capsys.readouterr().err
+
+    def test_nan_bin_exits_2_naming_the_record(self, tmp_path, capsys):
+        ds = fileio.read_dataset(simulate(tmp_path, n=20))
+        values = ds.values.copy()
+        values[7, np.argmin(np.abs(ds.ppm_axis - 2.0))] = np.nan
+        bad = tmp_path / "nan.json"
+        fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, ds.ppm_axis, values,
+                                          ds.target_names, ds.labels))
+        assert self._train(tmp_path, bad) == 2
+        assert "record 7" in capsys.readouterr().err
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "real-real-spectra", "seed": 3, "k_folds": 2,
+                                   "forest": {"n_trees": 1, "max_features": 8},
+                                   "datasets": {"data": str(bad)}}))
+        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 2
+        assert "record 7" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bootstrap_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", str(tmp_path / "d.json"), "--output",
+                  str(tmp_path / "m.json"), "--seed", "1", "--bootstrap", "identity"])
+        assert exc.value.code == 2
+
+
 class TestPredict:
-    def _train(self, tmp_path, data, trees="1", identity=True):
+    def _train(self, tmp_path, data):
+        # one tree grown on every sample once memorizes the labels
         model_path = tmp_path / "model.json"
-        args = ["train", "--dataset", str(data), "--output", str(model_path),
-                "--seed", "2", "--trees", trees, "--max-features", "32", "--min-leaf", "1"]
-        if identity:
-            args += ["--bootstrap", "identity"]
-        assert main(args) == 0
+        config = ForestConfig(n_trees=1, max_features=32, min_leaf_size=1, max_depth=None,
+                              rng_seed=2, bootstrap="identity")
+        fileio.write_model(model_path, train_model(fileio.read_dataset(data), config))
         return model_path
 
     def test_memorizing_model_reproduces_labels(self, tmp_path):

@@ -6,23 +6,14 @@ from mrsquant.errors import GridCompatibilityError, UndefinedResultError, Valida
 from mrsquant.preprocess import (
     CR_HI_PPM,
     CR_LO_PPM,
-    CROP_HI_PPM,
-    CROP_LO_PPM,
-    FeatureVector,
-    choose_reference,
     cr_normalize,
     crop_ppm,
     dtft_matrix,
-    normalize_to_reference,
-    resample,
-    spectrum_to_features,
 )
 from mrsquant.signal import (
     AcquisitionParams,
-    ComplexSpectrum,
     TimeSignal,
     fid_to_spectrum,
-    ppm_axis,
     spectrum_to_fid,
 )
 
@@ -71,35 +62,6 @@ class TestCrop:
         spec = example_spectrum()
         with pytest.raises(ValidationError):
             crop_ppm(spec, 0.2, 4.3)
-
-
-class TestResample:
-    def test_source_grid_is_identity(self):
-        spec = example_spectrum()
-        out = resample(spec, spec.ppm_axis)
-        assert np.allclose(out, spec.values, rtol=1e-12)
-
-    def test_exact_on_linear_ramp(self):
-        axis = ppm_axis(TRAIN_PARAMS)
-        values = (2.0 * axis - 1.0) + 1j * (0.5 * axis + 3.0)
-        spec = ComplexSpectrum(values, axis, TRAIN_PARAMS)
-        target = np.linspace(axis[5], axis[-5], 173)
-        out = resample(spec, target)
-        assert np.allclose(out.real, 2.0 * target - 1.0, rtol=1e-10)
-        assert np.allclose(out.imag, 0.5 * target + 3.0, rtol=1e-10)
-
-    def test_mrsi_spectrum_onto_training_grid(self):
-        # 400-point acquisition resampled onto the 1024-point grid's crop window
-        train_axis = ppm_axis(TRAIN_PARAMS)
-        grid = train_axis[(train_axis >= CROP_LO_PPM) & (train_axis <= CROP_HI_PPM)]
-        spec = example_spectrum(MRSI_PARAMS)
-        out = resample(spec, grid)
-        assert out.size == grid.size
-
-    def test_out_of_span_raises(self):
-        spec = example_spectrum()
-        with pytest.raises(GridCompatibilityError):
-            resample(spec, np.array([spec.ppm_axis[0] + 1.0]))
 
 
 class TestDtft:
@@ -160,88 +122,3 @@ class TestCrNormalize:
         grid = np.linspace(2.5, 0.5, 10)
         with pytest.raises(GridCompatibilityError):
             cr_normalize(np.ones((2, 10)), grid)
-
-
-class TestNormalize:
-    def _reference(self):
-        spec = crop_ppm(example_spectrum(), 4.3, 0.2)
-        return FeatureVector(spec.values.real, spec.ppm_axis)
-
-    def test_reference_itself_unchanged(self):
-        ref = self._reference()
-        out = normalize_to_reference(ref.values.astype(complex), ref)
-        assert np.allclose(out.values, ref.values, rtol=1e-12)
-
-    def test_scale_invariance(self):
-        ref = self._reference()
-        vec = crop_ppm(example_spectrum(), 4.3, 0.2).values * 0.37
-        a = normalize_to_reference(vec, ref)
-        b = normalize_to_reference(vec * 13.0, ref)
-        assert np.allclose(a.values, b.values, rtol=1e-12)
-
-    def test_output_peak_matches_reference(self):
-        ref = self._reference()
-        rng = np.random.default_rng(0)
-        vec = rng.normal(size=ref.values.size) + 1j * rng.normal(size=ref.values.size)
-        out = normalize_to_reference(vec, ref)
-        assert out.max_magnitude == pytest.approx(ref.max_magnitude, abs=1e-9 * ref.max_magnitude)
-
-    def test_zero_vector_rejected(self):
-        ref = self._reference()
-        with pytest.raises(ValidationError):
-            normalize_to_reference(np.zeros(ref.values.size, dtype=complex), ref)
-
-
-class TestPipeline:
-    def _model_space(self):
-        spec = crop_ppm(example_spectrum(), CROP_HI_PPM, CROP_LO_PPM)
-        grid = spec.ppm_axis
-        return grid, FeatureVector(spec.values.real, grid)
-
-    def test_matched_grid_identity_up_to_normalization(self):
-        grid, ref = self._model_space()
-        out = spectrum_to_features(example_spectrum(), grid, ref)
-        assert np.allclose(out.values, ref.values, rtol=1e-12)
-
-    def test_cross_protocol_length(self):
-        grid, ref = self._model_space()
-        out = spectrum_to_features(example_spectrum(MRSI_PARAMS), grid, ref)
-        assert out.values.size == grid.size
-
-    def test_scale_invariant_end_to_end(self):
-        grid, ref = self._model_space()
-        spec = example_spectrum(MRSI_PARAMS)
-        scaled = ComplexSpectrum(spec.values * 10.0, spec.ppm_axis, spec.params)
-        a = spectrum_to_features(spec, grid, ref)
-        b = spectrum_to_features(scaled, grid, ref)
-        assert np.allclose(a.values, b.values, atol=1e-9 * ref.max_magnitude)
-
-    def test_mismatch_without_resample_raises(self):
-        grid, ref = self._model_space()
-        with pytest.raises(GridCompatibilityError):
-            spectrum_to_features(example_spectrum(MRSI_PARAMS), grid, ref, allow_resample=False)
-
-    def test_feature_length_constant(self):
-        grid, ref = self._model_space()
-        for params in (TRAIN_PARAMS, MRSI_PARAMS):
-            out = spectrum_to_features(example_spectrum(params), grid, ref)
-            assert out.values.size == grid.size
-
-
-class TestChooseReference:
-    def test_median_peak_row(self):
-        grid = np.array([3.0, 2.0, 1.0])
-        rows = np.array([[1.0, 0, 0], [5.0, 0, 0], [3.0, 0, 0]])
-        ref, idx = choose_reference(rows, grid)
-        assert idx == 2  # peaks 1, 5, 3 -> median 3 is row 2
-        assert ref.max_magnitude == 3.0
-
-    def test_even_count_takes_lower_median(self):
-        grid = np.array([2.0, 1.0])
-        rows = np.array([[4.0, 0], [1.0, 0], [3.0, 0], [2.0, 0]])
-        ref, idx = choose_reference(rows, grid)
-        assert rows[idx].max() == 2.0  # sorted peaks 1,2,3,4 -> lower median 2
-
-    def test_rejects_zero_row(self):
-        with pytest.raises(ValidationError):
-            choose_reference(np.zeros((3, 4)), np.arange(4, 0, -1).astype(float))
