@@ -1,5 +1,6 @@
 """Parametric metabolite basis sets and per-metabolite spectral rendering."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ class BasisSet:
         names = [m.name for m in mets]
         if len(set(names)) != len(names):
             raise ValidationError(f"metabolite names must be unique, got {names}")
+        if not math.isfinite(self.reference_ppm):
+            raise ValidationError(f"reference_ppm must be finite, got {self.reference_ppm}")
         object.__setattr__(self, "metabolites", mets)
 
     @property

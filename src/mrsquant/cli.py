@@ -7,32 +7,18 @@ overrides it.
 """
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import fileio
-from .basis import default_brain_basis
 from .dataset import config_fingerprint, dataset_from_labeled
-from .errors import (
-    FileFormatError,
-    GridCompatibilityError,
-    UndefinedResultError,
-    ValidationError,
-)
-from .evaluate import EXPERIMENT_NAMES, ExperimentSpec, run_experiment
+from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
+from .evaluate import ExperimentSpec, run_experiment
 from .forest import ForestConfig
 from .pipeline import features_for_dataset, train_model
-from .simulate import (
-    DEFAULT_BASELINE_RANGE,
-    DEFAULT_CONCENTRATION_RANGES,
-    DEFAULT_LIPID_RANGE,
-    DEFAULT_SNR_RANGE,
-    DEFAULT_T2_SCALE_RANGE,
-    simulate_dataset,
-)
+from .simulate import simulate_dataset
 
 DEFAULT_ACQUISITION = {"spectral_width_hz": 2500.0, "n_points": 1024,
                        "transmitter_freq_mhz": 127.7, "echo_time_ms": 35.0,
@@ -51,53 +37,31 @@ def resolve_threads(flag_value):
     return 1
 
 
-def _read_json_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except OSError as e:
-        raise ValidationError(f"cannot read config file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise FileFormatError(f"{path}: malformed JSON at line {e.lineno}: {e.msg}") from e
-
-
-def _build_sim_config(args):
-    file_cfg = _read_json_config(args.config) if args.config else {}
+def _sim_config(args, file_cfg):
+    """SimulationConfig from the --config document (or {}), the flags and the defaults."""
     cfg = {
         "acquisition": dict(DEFAULT_ACQUISITION),
         "reference_ppm": 4.7,
     }
     cfg.update(file_cfg)
-    if args.seed is not None:
-        cfg["rng_seed"] = args.seed
+    cfg["rng_seed"] = args.seed
     if args.n_spectra is not None:
         cfg["n_spectra"] = args.n_spectra
-    if "rng_seed" not in cfg:
-        raise ValidationError("simulate needs --seed (field rng_seed)")
     if "n_spectra" not in cfg:
         raise ValidationError("simulate needs --n-spectra (field n_spectra)")
-    params = fileio.acquisition_from_dict(cfg["acquisition"])
     if args.basis:
         basis = fileio.read_basis(args.basis)
         cfg["acquisition"] = fileio.acquisition_to_dict(basis.params)
         cfg["reference_ppm"] = basis.reference_ppm
         cfg["basis"] = fileio.basis_to_dict(basis)
-    elif "basis" not in cfg:
-        cfg["basis"] = fileio.basis_to_dict(default_brain_basis(params, cfg["reference_ppm"]))
-    for key, default in (
-        ("concentration_ranges", {k: list(v) for k, v in DEFAULT_CONCENTRATION_RANGES.items()}),
-        ("t2_scale_range", list(DEFAULT_T2_SCALE_RANGE)),
-        ("snr_range", list(DEFAULT_SNR_RANGE)),
-        ("baseline_amplitude_range", list(DEFAULT_BASELINE_RANGE)),
-        ("lipid_amplitude_range", list(DEFAULT_LIPID_RANGE)),
-    ):
-        if cfg.get(key) is None:
-            cfg[key] = default
     return fileio.sim_config_from_dict(cfg)
 
 
 def cmd_simulate(args):
-    config = _build_sim_config(args)
+    if args.config:
+        config = fileio.load_json(args.config, lambda doc: _sim_config(args, doc))
+    else:
+        config = _sim_config(args, {})
     threads = resolve_threads(args.threads)
     labeled = simulate_dataset(config, threads=threads)
     config_dict = fileio.sim_config_to_dict(config)
@@ -111,26 +75,21 @@ def cmd_simulate(args):
     return 0
 
 
-def _forest_config_from_args(args, required_seed=True):
-    if required_seed and args.seed is None:
-        raise ValidationError("train needs --seed")
-    max_depth = None
-    if args.max_depth is not None and str(args.max_depth).lower() not in ("none", "unlimited"):
-        max_depth = int(args.max_depth)
-    return ForestConfig(
-        n_trees=args.trees,
-        max_features=args.max_features,
-        min_leaf_size=args.min_leaf,
-        max_depth=max_depth,
-        rng_seed=args.seed if args.seed is not None else 0,
-    )
+def _max_depth(text):
+    """--max-depth value: a positive integer, or none/unlimited for no limit."""
+    if text.lower() in ("none", "unlimited"):
+        return None
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, none or unlimited, got {text!r}")
+    return int(text)
 
 
 def cmd_train(args):
     dataset = fileio.read_dataset(args.dataset)
     if dataset.labels is None:
         raise ValidationError(f"{args.dataset}: dataset has no labels; cannot train")
-    config = _forest_config_from_args(args)
+    config = ForestConfig(n_trees=args.trees, max_features=args.max_features,
+                          min_leaf_size=args.min_leaf, max_depth=args.max_depth, rng_seed=args.seed)
     threads = resolve_threads(args.threads)
     model = train_model(dataset, config, threads=threads)
     fileio.write_model(args.output, model)
@@ -162,46 +121,38 @@ def cmd_predict(args):
     return 0
 
 
-def cmd_evaluate(args):
-    cfg = _read_json_config(args.config)
-    name = cfg.get("experiment")
-    if name not in EXPERIMENT_NAMES:
-        raise ValidationError(
-            f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
-        )
-    if "seed" not in cfg:
-        raise ValidationError("evaluate config needs field seed")
-    fdict = dict(cfg.get("forest", {}))
-    fdict.setdefault("n_trees", 100)
-    fdict.setdefault("max_features", 64)
-    fdict.setdefault("min_leaf_size", 5)
-    fdict.setdefault("max_depth", None)
-    fdict.setdefault("rng_seed", cfg["seed"])
-    forest = fileio.forest_config_from_dict(fdict)
+def _experiment(doc):
+    """(ExperimentSpec, {role: dataset path}, config fingerprint) from an evaluate config."""
+    forest = {"n_trees": 100, "max_features": 64, "min_leaf_size": 5, "max_depth": None,
+              "rng_seed": doc["seed"]}
+    forest.update(doc.get("forest", {}))
     spec = ExperimentSpec(
-        name=name,
-        forest=forest,
-        seed=cfg["seed"],
-        k_folds=cfg.get("k_folds", 10),
-        baseline_degree=cfg.get("baseline_degree", 4),
-        preprocess=cfg.get("preprocess"),
+        name=doc.get("experiment"),
+        forest=fileio.forest_config_from_dict(forest),
+        seed=doc["seed"],
+        k_folds=doc.get("k_folds", 10),
+        baseline_degree=doc.get("baseline_degree", 4),
+        preprocess=doc.get("preprocess"),
     )
-    paths = cfg.get("datasets", {})
-    datasets = {}
-    for role in ("train", "test", "data"):
-        if role in paths:
-            datasets[role] = fileio.read_dataset(paths[role])
-    needed = {"real-real-spectra": ("data",)}.get(name, ("train", "test"))
+    given = doc.get("datasets", {})
+    paths = {role: os.fspath(given[role]) for role in ("train", "test", "data") if role in given}
+    needed = {"real-real-spectra": ("data",)}.get(spec.name, ("train", "test"))
     for role in needed:
-        if role not in datasets:
-            raise ValidationError(f"experiment {name} needs datasets.{role} in the config")
+        if role not in paths:
+            raise ValidationError(f"experiment {spec.name} needs datasets.{role} in the config")
+    return spec, paths, config_fingerprint(doc)
+
+
+def cmd_evaluate(args):
+    spec, paths, fingerprint = fileio.load_json(args.config, _experiment)
+    datasets = {role: fileio.read_dataset(path) for role, path in paths.items()}
     threads = resolve_threads(args.threads)
     report = run_experiment(spec, datasets, threads=threads)
-    report.inputs["experiment_config_fingerprint"] = config_fingerprint(cfg)
+    report.inputs["experiment_config_fingerprint"] = fingerprint
     fileio.write_report(args.output, report)
     csv_path = args.csv or args.output + ".samples.csv"
     fileio.write_samples_csv(csv_path, report)
-    print(f"experiment {name} (truth: {report.truth_source})")
+    print(f"experiment {spec.name} (truth: {report.truth_source})")
     for target in report.target_names:
         stats = report.summary[target]["forest"]
         print(
@@ -265,7 +216,8 @@ def build_parser():
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--max-features", type=int, default=64, dest="max_features")
     p.add_argument("--min-leaf", type=int, default=5, dest="min_leaf")
-    p.add_argument("--max-depth", default=None, dest="max_depth")
+    p.add_argument("--max-depth", type=_max_depth, default=None, dest="max_depth",
+                   help="positive integer, or none/unlimited (the default)")
     p.add_argument("--oob-csv", dest="oob_csv")
     p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_train)
@@ -308,7 +260,7 @@ def main(argv=None):
     except GridCompatibilityError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValidationError, FileFormatError) as e:
+    except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except UndefinedResultError as e:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .signal import AcquisitionParams, ComplexSpectrum
+from .signal import AcquisitionParams
 
 
 def config_fingerprint(config_dict):
@@ -46,9 +46,6 @@ class Dataset:
     @property
     def n_spectra(self):
         return self.values.shape[0]
-
-    def spectrum(self, i):
-        return ComplexSpectrum(self.values[i], self.ppm_axis, self.params)
 
     def label_map(self, i):
         if self.labels is None:

@@ -109,13 +109,18 @@ class ExperimentSpec:
     k_folds: int = 10
     baseline_degree: int = 4
     preprocess: bool | None = None  # None: on for the cross-protocol designs
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise ValidationError(
                 f"unknown experiment {self.name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
             )
+        for name, low in (("seed", 0), ("k_folds", 2), ("baseline_degree", 0)):
+            v = getattr(self, name)
+            if int(v) != v or v < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+        if self.preprocess not in (None, True, False):
+            raise ValidationError(f"preprocess must be true, false or null, got {self.preprocess!r}")
 
     @property
     def allow_resample(self):

@@ -7,6 +7,7 @@ CSV output follows RFC 4180 (CRLF, header row).
 """
 
 import base64
+import binascii
 import csv
 import dataclasses
 import json
@@ -17,7 +18,7 @@ from .basis import BasisSet, MetaboliteBasis, default_brain_basis
 from .dataset import Dataset, config_fingerprint
 from .errors import FileFormatError, UnsupportedVersionError, ValidationError
 from .forest import ForestConfig, RandomForestModel, RegressionTree
-from .pipeline import FEATURE_KIND, FeatureMeta
+from .pipeline import FEATURE_KIND, FeatureMeta, basis_for_dataset
 from .signal import AcquisitionParams, LorentzianComponent
 from .simulate import SNR_DEFINITION, SimulationConfig
 
@@ -26,20 +27,36 @@ FORMAT_VERSION = 1
 
 # ---------------------------------------------------------------- helpers
 
-def _load_json(path, expected_format):
+def load_json(path, build, expected_format=None):
+    """build(doc) for the JSON document at path; the one place a parse error becomes FileFormatError.
+
+    With expected_format, the document must be an object carrying that
+    format tag and FORMAT_VERSION.  A KeyError raised while building becomes
+    FileFormatError naming the missing field; a TypeError, ValueError,
+    AttributeError, IndexError or OverflowError becomes FileFormatError for a
+    malformed field.  MrsQuantErrors raised by build pass through unchanged.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
+            doc = json.load(f)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    if not isinstance(data, dict) or data.get("format") != expected_format:
-        raise FileFormatError(f"{path}: not a {expected_format} file")
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: format version {version!r} is not supported (expected {FORMAT_VERSION})"
-        )
-    return data
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path}: not UTF-8 text: {e}") from e
+    if expected_format is not None:
+        if not isinstance(doc, dict) or doc.get("format") != expected_format:
+            raise FileFormatError(f"{path}: not a {expected_format} file")
+        version = doc.get("format_version")
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersionError(
+                f"{path}: format version {version!r} is not supported (expected {FORMAT_VERSION})"
+            )
+    try:
+        return build(doc)
+    except KeyError as e:
+        raise FileFormatError(f"{path}: missing field {e}") from e
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
+        raise FileFormatError(f"{path}: malformed field: {e}") from e
 
 
 def encode_spectrum(values):
@@ -47,10 +64,14 @@ def encode_spectrum(values):
 
 
 def decode_spectrum(text, n_points):
-    raw = base64.b64decode(text.encode("ascii"), validate=True)
-    if len(raw) != 16 * n_points:
-        raise FileFormatError(f"spectrum block holds {len(raw)} bytes, expected {16 * n_points}")
-    return np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+    """The n_points complex values base64 text holds, or None when it holds no such block."""
+    if not isinstance(text, str) or not text.isascii():
+        return None
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error:
+        return None
+    return np.frombuffer(raw, dtype="<c16").astype(np.complex128) if len(raw) == 16 * n_points else None
 
 
 def acquisition_to_dict(params):
@@ -126,9 +147,10 @@ def write_basis(path, basis):
 
 
 def read_basis(path):
-    data = _load_json(path, "mrsquant-basis")
-    params = acquisition_from_dict(data["acquisition"])
-    return basis_from_dict(data, params, data["reference_ppm"])
+    def build(doc):
+        return basis_from_dict(doc, acquisition_from_dict(doc["acquisition"]), doc["reference_ppm"])
+
+    return load_json(path, build, "mrsquant-basis")
 
 
 # ---------------------------------------------------------------- simulation configs
@@ -148,26 +170,20 @@ def sim_config_to_dict(config):
     }
 
 
+_RANGE_FIELDS = ("concentration_ranges", "t2_scale_range", "snr_range",
+                 "baseline_amplitude_range", "lipid_amplitude_range")
+
+
 def sim_config_from_dict(d):
-    try:
-        params = acquisition_from_dict(d["acquisition"])
-        reference_ppm = d["reference_ppm"]
-        if "basis" in d and d["basis"] is not None:
-            basis = basis_from_dict(d["basis"], params, reference_ppm)
-        else:
-            basis = default_brain_basis(params, reference_ppm)
-        return SimulationConfig(
-            basis=basis,
-            n_spectra=d["n_spectra"],
-            rng_seed=d["rng_seed"],
-            concentration_ranges={k: tuple(v) for k, v in d["concentration_ranges"].items()},
-            t2_scale_range=tuple(d["t2_scale_range"]),
-            snr_range=tuple(d["snr_range"]),
-            baseline_amplitude_range=tuple(d["baseline_amplitude_range"]),
-            lipid_amplitude_range=tuple(d["lipid_amplitude_range"]),
-        )
-    except KeyError as e:
-        raise ValidationError(f"simulation config is missing field {e}") from e
+    """SimulationConfig from a config mapping; absent or null basis and ranges take the defaults."""
+    params = acquisition_from_dict(d["acquisition"])
+    reference_ppm = d["reference_ppm"]
+    if d.get("basis") is not None:
+        basis = basis_from_dict(d["basis"], params, reference_ppm)
+    else:
+        basis = default_brain_basis(params, reference_ppm)
+    ranges = {k: d[k] for k in _RANGE_FIELDS if d.get(k) is not None}
+    return SimulationConfig(basis=basis, n_spectra=d["n_spectra"], rng_seed=d["rng_seed"], **ranges)
 
 
 # ---------------------------------------------------------------- datasets
@@ -201,52 +217,46 @@ def write_dataset(path, dataset):
         f.write("]}\n")
 
 
-def _record_spectrum(path, i, record, n_points):
-    try:
-        return decode_spectrum(record["spectrum_b64"], n_points)
-    except (KeyError, TypeError, AttributeError, ValueError, FileFormatError) as e:
-        raise FileFormatError(f"{path}: record {i} has no readable spectrum_b64: {e}") from e
-
-
 def read_dataset(path):
-    """Dataset from a file; a missing field, unreadable record or NaN/inf value raises FileFormatError."""
-    data = _load_json(path, "mrsquant-dataset")
-    try:
+    """Dataset from a file; a missing or malformed field, unreadable record or NaN/inf value raises FileFormatError."""
+    def build(data):
         params = acquisition_from_dict(data["acquisition"])
         records = data["records"]
         target_names = list(data["target_names"])
-        reference_ppm = data["reference_ppm"]
-        ppm = np.asarray(data["ppm_axis"], dtype=np.float64)
-    except KeyError as e:
-        raise FileFormatError(f"{path}: missing field {e}") from e
-    if len(records) == 0:
-        raise ValidationError(f"{path}: dataset holds no spectra")
-    values = np.stack([_record_spectrum(path, i, r, params.n_points) for i, r in enumerate(records)])
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise FileFormatError(
-            f"{path}: record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
-            f"{bad.size} records do"
+        if len(records) == 0:
+            raise ValidationError(f"{path}: dataset holds no spectra")
+        rows = [decode_spectrum(r.get("spectrum_b64"), params.n_points) for r in records]
+        unreadable = [i for i, row in enumerate(rows) if row is None]
+        if unreadable:
+            raise FileFormatError(f"{path}: record {unreadable[0]} has no readable spectrum_b64 "
+                                  f"of {params.n_points} points")
+        values = np.stack(rows)
+        del rows  # one copy of the spectra from here on
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise FileFormatError(
+                f"{path}: record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
+                f"{bad.size} records do"
+            )
+        labels = None
+        if all(r.get("labels") for r in records) and target_names:
+            labels = [[r["labels"][t] for t in target_names] for r in records]
+        truth = [r.get("truth_params") for r in records]
+        dataset = Dataset(
+            params=params,
+            reference_ppm=data["reference_ppm"],
+            ppm_axis=np.asarray(data["ppm_axis"], dtype=np.float64),
+            values=values,
+            target_names=target_names,
+            labels=labels,
+            truth_params=truth if any(t is not None for t in truth) else None,
+            config=data.get("config"),
+            fingerprint=data.get("fingerprint"),
         )
-    have_labels = all(r.get("labels") for r in records) and target_names
-    labels = None
-    if have_labels:
-        try:
-            labels = np.array([[r["labels"][t] for t in target_names] for r in records])
-        except KeyError as e:
-            raise FileFormatError(f"{path}: record is missing label {e}") from e
-    truth = [r.get("truth_params") for r in records]
-    return Dataset(
-        params=params,
-        reference_ppm=reference_ppm,
-        ppm_axis=ppm,
-        values=values,
-        target_names=target_names,
-        labels=labels,
-        truth_params=truth if any(t is not None for t in truth) else None,
-        config=data.get("config"),
-        fingerprint=data.get("fingerprint"),
-    )
+        basis_for_dataset(dataset)  # an embedded basis the oracle cannot build is refused here
+        return dataset
+
+    return load_json(path, build, "mrsquant-dataset")
 
 
 # ---------------------------------------------------------------- models
@@ -262,10 +272,7 @@ def _tree_to_dict(tree):
 
 
 def _tree_from_dict(d):
-    try:
-        return RegressionTree(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
-    except KeyError as e:
-        raise FileFormatError(f"tree record is missing field {e}") from e
+    return RegressionTree(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
 
 
 def forest_config_to_dict(config):
@@ -273,17 +280,14 @@ def forest_config_to_dict(config):
 
 
 def forest_config_from_dict(d):
-    try:
-        return ForestConfig(
-            n_trees=d["n_trees"],
-            max_features=d["max_features"],
-            min_leaf_size=d["min_leaf_size"],
-            max_depth=d["max_depth"],
-            rng_seed=d["rng_seed"],
-            bootstrap=d.get("bootstrap", "sample"),
-        )
-    except KeyError as e:
-        raise ValidationError(f"forest config is missing field {e}") from e
+    return ForestConfig(
+        n_trees=d["n_trees"],
+        max_features=d["max_features"],
+        min_leaf_size=d["min_leaf_size"],
+        max_depth=d["max_depth"],
+        rng_seed=d["rng_seed"],
+        bootstrap=d.get("bootstrap", "sample"),
+    )
 
 
 def model_fingerprint(model):
@@ -335,10 +339,8 @@ def write_model(path, model):
 
 
 def read_model(path):
-    data = _load_json(path, "mrsquant-model")
-    try:
-        config = forest_config_from_dict(data["config"])
-        target_names = list(data["target_names"])
+    """Model from a file; a missing or malformed field or tree raises FileFormatError."""
+    def build(data):
         fdict = data["feature"]
         if fdict["kind"] != FEATURE_KIND:
             raise UnsupportedVersionError(
@@ -347,28 +349,31 @@ def read_model(path):
             )
         meta = FeatureMeta(
             grid=np.asarray(fdict["grid_ppm"], dtype=np.float64),
-            crop_hi=fdict["crop_hi_ppm"],
-            crop_lo=fdict["crop_lo_ppm"],
+            crop_hi=float(fdict["crop_hi_ppm"]),
+            crop_lo=float(fdict["crop_lo_ppm"]),
             acquisition=acquisition_from_dict(fdict["acquisition"]),
             reference_ppm=fdict["reference_ppm"],
             kind=fdict["kind"],
         )
+        target_names = list(data["target_names"])
         forests = [[_tree_from_dict(t) for t in data["forests"][name]] for name in target_names]
+        if any(tree.feature.max() >= meta.grid.size for trees in forests for tree in trees):
+            raise FileFormatError(f"{path}: a tree splits on a feature past the {meta.grid.size} grid bins")
         oob = [
             np.asarray(data["oob"][name], dtype=np.float64) if data["oob"][name] is not None else None
             for name in target_names
         ]
-    except KeyError as e:
-        raise FileFormatError(f"{path}: missing field {e}") from e
-    return RandomForestModel(
-        config=config,
-        target_names=target_names,
-        forests=forests,
-        inbag_counts=None,
-        oob_curves=oob,
-        feature_meta=meta,
-        dataset_fingerprint=data.get("dataset_fingerprint"),
-    )
+        return RandomForestModel(
+            config=forest_config_from_dict(data["config"]),
+            target_names=target_names,
+            forests=forests,
+            inbag_counts=None,
+            oob_curves=oob,
+            feature_meta=meta,
+            dataset_fingerprint=data.get("dataset_fingerprint"),
+        )
+
+    return load_json(path, build, "mrsquant-model")
 
 
 # ---------------------------------------------------------------- reports
@@ -382,16 +387,18 @@ def write_report(path, report):
 def read_report(path):
     from .evaluate import EvalReport
 
-    data = _load_json(path, "mrsquant-report")
-    return EvalReport(
-        experiment=data["experiment"],
-        truth_source=data["truth_source"],
-        target_names=data["target_names"],
-        summary=data["summary"],
-        per_sample=data["per_sample"],
-        inputs=data["inputs"],
-        notes=data.get("notes", {}),
-    )
+    def build(data):
+        return EvalReport(
+            experiment=data["experiment"],
+            truth_source=data["truth_source"],
+            target_names=data["target_names"],
+            summary=data["summary"],
+            per_sample=data["per_sample"],
+            inputs=data["inputs"],
+            notes=data.get("notes", {}),
+        )
+
+    return load_json(path, build, "mrsquant-report")
 
 
 # ---------------------------------------------------------------- CSV emission

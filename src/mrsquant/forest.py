@@ -42,7 +42,11 @@ class ForestConfig:
 
 
 class RegressionTree:
-    """CART tree as flat arrays; feature[i] == -1 marks node i as a leaf."""
+    """CART tree as flat arrays; feature[i] == -1 marks node i as a leaf.
+
+    Children follow their parent (left[i], right[i] > i), so every walk from
+    the root ends at a leaf; the constructor refuses any other layout.
+    """
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
@@ -52,6 +56,22 @@ class RegressionTree:
         self.left = np.asarray(left, dtype=np.int32)
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=np.float64)
+        n = self.feature.size
+        if n == 0 or any(a.shape != (n,) for a in (self.feature, self.threshold, self.left,
+                                                   self.right, self.value)):
+            raise ValidationError("tree arrays must be nonempty, 1-D and of equal length")
+        ids = np.arange(n)
+        internal = self.feature >= 0
+        children_ok = np.where(
+            internal,
+            (self.left > ids) & (self.left < n) & (self.right > ids) & (self.right < n),
+            (self.left == -1) & (self.right == -1),
+        )
+        if (self.feature < -1).any() or not children_ok.all():
+            raise ValidationError(
+                "tree nodes must be leaves (feature -1, children -1) or splits on a feature "
+                ">= 0 whose children lie after them"
+            )
 
     @property
     def n_nodes(self):

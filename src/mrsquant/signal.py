@@ -7,6 +7,7 @@ the discrete Fourier transform with bins mapped onto a descending ppm
 axis (downfield first, reference at the center).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,8 @@ class LorentzianComponent:
     phase0: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.chemical_shift) and math.isfinite(self.phase0)):
+            raise ValidationError(f"shift and phase must be finite, got {self.chemical_shift}, {self.phase0}")
         if not self.t2 > 0:
             raise ValidationError(f"t2 must be > 0, got {self.t2}")
         if self.amplitude < 0:
@@ -97,11 +100,6 @@ class TimeSignal:
                 f"samples must be a 1-D array of length {self.params.n_points}, got shape {samples.shape}"
             )
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def times(self):
-        """Sample times in seconds."""
-        return np.arange(self.params.n_points) / self.params.spectral_width
 
 
 @dataclass(frozen=True)
