@@ -271,8 +271,11 @@ def _tree_to_dict(tree):
     }
 
 
-def _tree_from_dict(d):
-    return RegressionTree(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+def _tree_from_dict(path, target, index, d):
+    try:
+        return RegressionTree(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+    except ValidationError as e:
+        raise FileFormatError(f"{path}: tree {index} of target {target!r}: {e}") from e
 
 
 def forest_config_to_dict(config):
@@ -356,7 +359,8 @@ def read_model(path):
             kind=fdict["kind"],
         )
         target_names = list(data["target_names"])
-        forests = [[_tree_from_dict(t) for t in data["forests"][name]] for name in target_names]
+        forests = [[_tree_from_dict(path, name, i, t) for i, t in enumerate(data["forests"][name])]
+                   for name in target_names]
         if any(tree.feature.max() >= meta.grid.size for trees in forests for tree in trees):
             raise FileFormatError(f"{path}: a tree splits on a feature past the {meta.grid.size} grid bins")
         oob = [

@@ -154,93 +154,89 @@ def fit_tree(X, y, sample_indices, config, rng):
     if idx0.min() < 0 or idx0.max() >= y.size:
         raise ValidationError(f"sample_indices must lie in [0, {y.size})")
     _check_training_inputs(X, y, config)
-    return _grow_by_level(X, _rank_table(X), y, idx0, config, rng)
+    return _grow_by_level(X, _rank_table(X), y, *np.unique(idx0, return_counts=True), config, rng)
 
 
-def _grow_by_level(X, ranks, y, samples, config, rng):
+def _grow_by_level(X, ranks, y, rows, weights, config, rng):
     """Grow one CART tree breadth first, splitting every open node of a depth level at once.
 
-    samples holds the bootstrap row indices grouped by node, in node-id
-    order.  Per level, the splittable nodes draw their feature subsets in
-    one (nodes, d) draw, and the ranks of their samples on those features
-    form one (max_features, N) block, sorted once as packed (node, rank,
-    position) keys.  One prefix sum then scores every candidate split by
-    S_L^2/n_L + S_R^2/n_R, which is largest where the summed child squared
-    deviation is smallest; targets are centered per node to keep the sums
-    small.  A node takes its first maximum (lowest drawn-feature row, then
-    lowest position) and its threshold is the midpoint of its own two
-    adjacent values.  Node ids are breadth first, so children follow their
-    parent.
+    rows holds the distinct bootstrap rows grouped by node, in node-id order,
+    and weights their multiplicities, which node means and min_leaf_size
+    count.  Per level, the splittable nodes draw their feature subsets in one
+    (nodes, d) draw, and the ranks of their rows on those features form one
+    (max_features, N) block, sorted once as packed (node, rank, position)
+    keys.  Targets are centered per node, so S_R = -S_L and the usual
+    S_L^2/n_L + S_R^2/n_R is S_L^2 * n/(n_L*n_R): a float prefix sum gives
+    S_L, an integer one n_L, and each cut scores S_L^2/(n_L*n_R).  A node
+    takes its first maximum (lowest drawn-feature row, then lowest rank) and
+    its threshold is the midpoint of its own two adjacent values.  Node ids
+    are breadth first, so children follow their parent.
     """
     d, n = ranks.shape
     flat_ranks = ranks.ravel()
     levels = []
-    counts = np.array([samples.size])
+    counts = np.array([rows.size])
     depth = 0
     while counts.size:
         starts, _ = _segments(counts)
-        ys = y[samples]
+        ys = y[rows]
         y_lo = np.minimum.reduceat(ys, starts)
         y_hi = np.maximum.reduceat(ys, starts)
-        mean = np.add.reduceat(ys, starts) / counts
+        size = np.add.reduceat(weights, starts)
+        mean = np.add.reduceat(ys * weights, starts) / size
         # a constant node keeps the exact constant, dodging mean rounding
         value = np.where(y_hi == y_lo, y_lo, mean)
         feature = np.full(counts.size, -1, dtype=np.int32)
         threshold = np.zeros(counts.size)
         levels.append((feature, threshold, value))
-        splittable = (counts >= 2 * config.min_leaf_size) & (y_hi > y_lo)
-        if config.max_depth is not None and depth >= config.max_depth:
-            splittable[:] = False
+        splittable = (size >= 2 * config.min_leaf_size) & (y_hi > y_lo)
         ids = np.flatnonzero(splittable)
-        if not ids.size:
+        if not ids.size or depth == config.max_depth:
             break
         keep = np.repeat(splittable, counts)
-        samples = samples[keep]
-        counts = counts[ids]
+        rows, weights = rows[keep], weights[keep]
+        counts, size = counts[ids], size[ids]
         starts, node = _segments(counts)
         ends = starts + counts - 1
-        yc = ys[keep] - mean[ids][node]
-        cols = np.arange(samples.size)
+        yw = (ys[keep] - mean[ids][node]) * weights
+        cols = np.arange(rows.size)
 
         feats = rng.random((ids.size, d)).argsort(axis=1)[:, : config.max_features]
-        # One buffer goes from flat rank-table index to rank to key; np.take
+        # key goes from flat rank-table index to rank to packed key; np.take
         # keeps it in C order, which feats.T[:, node] would not.
-        key = np.take(feats.T, node, axis=1)
-        key *= n
-        key += samples
-        key[...] = flat_ranks[key]
+        key = np.take(feats.T * n, node, axis=1)
+        key += rows
+        key[...] = np.take(flat_ranks, key)
         key = key.view(np.uint64)
         key <<= _KEY_BITS
         key |= (node.astype(np.uint64) << (_KEY_BITS + _KEY_BITS)) | cols.astype(np.uint64)
         key.sort(axis=1)
-        score = yc[key & _KEY_MASK]
-        flat_score = score.reshape(-1)
-        np.cumsum(flat_score, out=flat_score)
-        # The flat sum runs on across segments and rows.  With centered targets
-        # the sum before a segment is near zero; subtracting it keeps each
-        # node's sums free of the rounding carried in from the others.
-        before = flat_score[starts + cols.size * np.arange(score.shape[0])[:, None] - 1]
+        pos = (key & _KEY_MASK).view(np.intp)  # a uint64 index would be cast on every gather
+        score = np.take(yw, pos)
+        n_left = np.take(weights, pos)
+        del pos
+        # every row holds a node's same rows, so taking the previous node's
+        # weight total off each node's first entry restarts the exact sum there
+        n_left[:, starts[1:]] -= size[:-1]
+        np.cumsum(n_left, axis=1, out=n_left)
+        # The float sum runs on across segments and rows; subtracting the
+        # near-zero sum before each segment keeps out rounding from the others.
+        flat = score.reshape(-1)
+        np.cumsum(flat, out=flat)
+        before = flat[starts + cols.size * np.arange(score.shape[0])[:, None] - 1]
         before[0, 0] = 0.0  # index -1 wrapped round to the last entry
-        total = score[:, ends] - before
         score -= np.take(before, node, axis=1)  # S_L
-        rest = np.take(total, node, axis=1)
-        rest -= score  # S_R
-        n_left = (cols - starts[node] + 1).astype(np.float64)
-        n_right = counts[node] - n_left
-        n_right[ends] = 1.0  # keeps the division finite; these cuts are masked below
-        rest *= rest
-        rest /= n_right
-        score *= score
-        score /= n_left
-        score += rest
-        del rest
-        # Scores are >= 0; a cut between equal values or after a node's last
-        # sample is marked -1 (arithmetic, which beats a masked store here).
-        same = (key[:, 1:] ^ key[:, :-1]) < (_KEY_MASK + np.uint64(1))  # equal (node, rank)
-        score[:, :-1] *= ~same
-        score[:, :-1] -= same
-        del same
-        score[:, ends] = -1.0
+        score *= score  # S_L^2
+        n_left *= size[node] - n_left  # n_L * n_R, zero at a node's last cut
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score /= n_left
+        del n_left
+        # Scores are >= 0; a cut between equal (node, rank) keys or after a
+        # node's last row is marked -1.
+        cut = np.empty(key.shape, dtype=bool)
+        np.less(key[:, 1:] ^ key[:, :-1], _KEY_MASK + np.uint64(1), out=cut[:, :-1])
+        cut[:, ends] = True
+        np.copyto(score, -1.0, where=cut)
 
         row_best = np.maximum.reduceat(score, starts, axis=1)
         best = row_best.max(axis=0)
@@ -251,8 +247,8 @@ def _grow_by_level(X, ranks, y, samples, config, rng):
         f = feats[np.arange(ids.size), row]
         entry_a = key[row, pos]
         rank_a = (entry_a >> _KEY_BITS) & _KEY_MASK
-        a = X[samples[entry_a & _KEY_MASK], f]
-        b = X[samples[key[row, pos + 1] & _KEY_MASK], f]
+        a = X[rows[entry_a & _KEY_MASK], f]
+        b = X[rows[key[row, pos + 1] & _KEY_MASK], f]
         thr = a + (b - a) / 2.0
         # float midpoint may round up; keep a <= thr < b so routing matches the fit
         thr = np.where(thr >= b, a, thr)
@@ -264,12 +260,11 @@ def _grow_by_level(X, ranks, y, samples, config, rng):
         value[split_ids] = 0.0
         slot = np.cumsum(ok) - 1
         moving = ok[node]
-        node = node[moving]
-        samples = samples[moving]
-        go_right = flat_ranks[f[node] * n + samples] > rank_a[node]
+        node, rows, weights = node[moving], rows[moving], weights[moving]
+        go_right = flat_ranks[f[node] * n + rows] > rank_a[node]
         child = 2 * slot[node] + go_right
         route = child.argsort(kind="stable")
-        samples = samples[route]
+        rows, weights = rows[route], weights[route]
         counts = np.bincount(child, minlength=2 * split_ids.size)
         depth += 1
 
@@ -402,13 +397,14 @@ def _fit_one_tree(Xc, ranks, yc, config, target_index, tree_index):
     n = yc.size
     rng = np.random.default_rng([config.rng_seed, target_index, tree_index])
     if config.bootstrap == "identity":
-        boot = np.arange(n)
+        drawn = np.ones(n, dtype=np.intp)
     else:
-        # sorted, so each node's samples stay in row order: the gathers walk memory forward
-        boot = np.sort(rng.integers(0, n, size=n))
-    tree = _grow_by_level(Xc, ranks, yc, boot, config, rng)
+        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    # the distinct rows come out in row order, so the gathers walk memory forward
+    rows = np.flatnonzero(drawn)
+    tree = _grow_by_level(Xc, ranks, yc, rows, drawn[rows], config, rng)
     # oob_curve needs only which rows were drawn; a bool mask is 8x smaller than counts
-    return tree, np.bincount(boot, minlength=n) > 0
+    return tree, drawn > 0
 
 
 def fit_forest(X, Y, config, target_names=None, threads=1):

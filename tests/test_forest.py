@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -116,24 +118,28 @@ class TestFitTree:
             got = partition_cost(X, y, tree.feature[0], tree.threshold[0])
             assert got <= best + 1e-9
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_every_internal_split_matches_brute_force(self, seed):
+    @staticmethod
+    def tied_data(rng):
         # Values on a 0.1 grid plus a column that is exactly 1.0 in most rows, as
         # Cr-normalized features are: many ties, where segment-boundary slips
         # in a level-wise search would show.
-        rng = np.random.default_rng(500 + seed)
         n = int(rng.integers(30, 61))
         X = np.round(rng.uniform(0, 3, size=(n, 3)), 1)
         X[:, 1] = np.where(rng.random(n) < 0.7, 1.0, np.round(rng.uniform(0, 2, size=n), 1))
         y = np.round(rng.uniform(0, 5, size=n), 1)
-        tree = fit_tree(X, y, np.arange(n), single_tree_config(max_features=3),
-                        np.random.default_rng(seed))
+        return X, y
+
+    @staticmethod
+    def assert_every_split_is_best(tree, X, y):
+        """Walk X through the tree; each split must be a brute-force best one for its
+        node's rows and each leaf value their mean."""
         checked = 0
-        stack = [(0, np.arange(n))]
+        stack = [(0, np.arange(y.size))]
         while stack:
             node, rows = stack.pop()
             f = tree.feature[node]
             if f < 0:
+                assert tree.value[node] == pytest.approx(y[rows].mean(), abs=1e-12)
                 continue
             go_left = X[rows, f] <= tree.threshold[node]
             assert 0 < go_left.sum() < rows.size
@@ -142,6 +148,24 @@ class TestFitTree:
             checked += 1
             stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
         assert checked >= 5
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_internal_split_matches_brute_force(self, seed):
+        X, y = self.tied_data(np.random.default_rng(500 + seed))
+        tree = fit_tree(X, y, np.arange(y.size), single_tree_config(max_features=3),
+                        np.random.default_rng(seed))
+        self.assert_every_split_is_best(tree, X, y)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_split_on_repeated_rows_matches_brute_force(self, seed):
+        # A bootstrap multiset, unsorted: the tree grows on its distinct rows
+        # weighted by multiplicity and must match brute force on the rows repeated.
+        rng = np.random.default_rng(700 + seed)
+        X, y = self.tied_data(rng)
+        idx = rng.integers(0, y.size, size=y.size)
+        assert np.unique(idx).size < idx.size
+        tree = fit_tree(X, y, idx, single_tree_config(max_features=3), np.random.default_rng(seed))
+        self.assert_every_split_is_best(tree, X[idx], y[idx])
 
     def test_threshold_is_midpoint_of_the_nodes_own_values(self):
         # rows 1 and 2 are outside the sample, so 0 and 3 are adjacent in the node
@@ -315,6 +339,22 @@ class TestFitForest:
         assert both.inbag_counts is None
         probe = np.random.default_rng(8).normal(size=(20, X.shape[1]))
         assert np.array_equal(both.predict_matrix(probe)[:, 1], only_b.predict_matrix(probe)[:, 0])
+
+    def test_model_bytes_match_recorded_digest(self):
+        # Recorded with trees grown on distinct bootstrap rows weighted by
+        # multiplicity, with numpy 2.4 on x86-64.  Any change to the trees a
+        # fixed training gives fails here, not only in a benchmark median.
+        rng = np.random.default_rng(31)
+        X = np.round(rng.normal(size=(300, 12)), 2)
+        Y = np.column_stack([X[:, 0] + np.sin(X[:, 1]), X[:, 2] * X[:, 3]])
+        Y += 0.1 * rng.normal(size=Y.shape)
+        model = fit_forest(X, Y, ForestConfig(n_trees=4, max_features=5, min_leaf_size=3, rng_seed=9))
+        digest = hashlib.sha256()
+        for trees in model.forests:
+            for tree in trees:
+                for field in (tree.feature, tree.threshold, tree.left, tree.right, tree.value):
+                    digest.update(field.tobytes())
+        assert digest.hexdigest() == "54ec13984c68939ac3b45304c48a27425f54c1e6a037bf497405786a6a079dbb"
 
     def test_slice_matches_direct_training(self):
         X, y = self._data(n=60)

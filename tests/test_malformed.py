@@ -114,7 +114,7 @@ DATASET_EDITS = {
     "target_names=null": set_at(["target_names"], None),
 }
 
-# the tree checks live in the RegressionTree constructor, which knows no file name
+# a tree that fails the RegressionTree checks is refused with that check's message too
 MODEL_EDITS = {
     "config=null": (set_at(["config"], None), None),
     "feature=abc": (tree_edit("feature", lambda a: "abc"), None),
@@ -167,7 +167,11 @@ def test_malformed_model_exits_2(valid, tmp_path, capsys, name):
     assert tree(json.loads(valid["model"].read_text()))["feature"][0] >= 0
     edit, message = MODEL_EDITS[name]
     bad = edited(valid["model"], tmp_path / "bad.json", edit)
-    exits_2_naming(predict_argv(valid, bad, valid["dataset"]), message or bad, capsys)
+    assert main(predict_argv(valid, bad, valid["dataset"])) == 2
+    err = capsys.readouterr().err
+    assert bad in err
+    if message:
+        assert f"{bad}: tree 0 of target" in err and message in err
 
 
 @pytest.mark.parametrize("name", BASIS_EDITS)
