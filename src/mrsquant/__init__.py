@@ -1,6 +1,6 @@
 """mrsquant: synthetic MR spectroscopy simulation and random-forest quantification."""
 
-from .basis import BasisSet, MetaboliteBasis, default_brain_basis, linear_combination, render_metabolite
+from .basis import BasisSet, MetaboliteBasis, default_brain_basis, linear_combination
 from .dataset import Dataset, config_fingerprint, dataset_from_labeled
 from .errors import (
     FileFormatError,
@@ -20,9 +20,7 @@ from .evaluate import (
     relative_error,
     run_experiment,
 )
-from .forest import ForestConfig, RandomForestModel, RegressionTree, fit_forest, fit_tree, predict
-from .lsqfit import lsq_fit
-from .preprocess import crop_ppm
+from .forest import ForestConfig, RandomForestModel, RegressionTree, fit_forest, fit_tree
 from .signal import (
     AcquisitionParams,
     ComplexSpectrum,
@@ -39,7 +37,6 @@ from .simulate import (
     add_noise,
     generate_baseline,
     generate_lipids,
-    sample_parameters,
     simulate_dataset,
 )
 

@@ -79,15 +79,8 @@ class BasisSet:
         raise UnknownMetaboliteError(f"unknown metabolite {name!r}; basis has {self.names}")
 
 
-def render_metabolite(basis, name, concentration, t2_scale=1.0):
-    """Spectrum of one metabolite with amplitudes scaled by concentration and T2 by t2_scale."""
-    _check_scales(concentration, t2_scale)
-    values = _metabolite_values(basis, name, np.array([concentration]), np.array([t2_scale]))
-    return ComplexSpectrum(values[0], ppm_axis(basis.params, basis.reference_ppm), basis.params)
-
-
 def linear_combination(basis, concentrations, t2_scale=1.0):
-    """Elementwise sum of render_metabolite over every (name, concentration) entry."""
+    """Spectrum summing every metabolite at its concentration, all T2s scaled by t2_scale."""
     for name, conc in concentrations.items():
         _check_scales(conc, t2_scale)
         basis.get(name)

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 configuration/validation error, 3 data
 compatibility error (e.g. grid mismatch without --preprocess), 4 undefined
-numerical result.  MRSQUANT_THREADS caps the worker count; --threads
-overrides it.
+numerical result.  --threads sets the worker count (default 1).
 """
 
 import argparse
@@ -26,15 +25,8 @@ DEFAULT_ACQUISITION = {"spectral_width_hz": 2500.0, "n_points": 1024,
 
 
 def resolve_threads(flag_value):
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    env = os.environ.get("MRSQUANT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as e:
-            raise ValidationError(f"MRSQUANT_THREADS must be an integer, got {env!r}") from e
-    return 1
+    """Worker count for a --threads value: 1 when absent, at least 1 otherwise."""
+    return 1 if flag_value is None else max(1, int(flag_value))
 
 
 def _sim_config(args, file_cfg):

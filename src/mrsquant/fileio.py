@@ -317,7 +317,6 @@ def write_model(path, model):
             "kind": meta.kind,
             "crop_hi_ppm": meta.crop_hi,
             "crop_lo_ppm": meta.crop_lo,
-            "reference_ppm": meta.reference_ppm,
             "acquisition": acquisition_to_dict(meta.acquisition),
             "grid_ppm": meta.grid.tolist(),
         },
@@ -355,7 +354,6 @@ def read_model(path):
             crop_hi=float(fdict["crop_hi_ppm"]),
             crop_lo=float(fdict["crop_lo_ppm"]),
             acquisition=acquisition_from_dict(fdict["acquisition"]),
-            reference_ppm=fdict["reference_ppm"],
             kind=fdict["kind"],
         )
         target_names = list(data["target_names"])

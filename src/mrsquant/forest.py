@@ -11,7 +11,6 @@ thread scheduling.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -149,8 +148,6 @@ def fit_tree(X, y, sample_indices, config, rng):
     idx0 = np.asarray(sample_indices, dtype=np.intp)
     if idx0.size == 0:
         raise ValidationError("sample_indices must be nonempty")
-    if idx0.size > MAX_ROWS:
-        raise ValidationError(f"at most {MAX_ROWS} bootstrap samples are supported")
     if idx0.min() < 0 or idx0.max() >= y.size:
         raise ValidationError(f"sample_indices must lie in [0, {y.size})")
     _check_training_inputs(X, y, config)
@@ -304,16 +301,6 @@ class RandomForestModel:
             if len(trees) != self.config.n_trees:
                 raise ValidationError("each ensemble must have exactly config.n_trees trees")
 
-    @cached_property
-    def n_features(self):
-        """Highest feature index any tree splits on, plus one; None for all-leaf forests."""
-        highest = -1
-        for trees in self.forests:
-            for tree in trees:
-                if tree.feature.size:
-                    highest = max(highest, int(tree.feature.max()))
-        return None if highest < 0 else highest + 1
-
     def oob_error(self, target):
         curve = self.oob_curves[self.target_names.index(target)]
         return float(curve[-1]) if curve is not None and len(curve) else float("nan")
@@ -322,9 +309,15 @@ class RandomForestModel:
         """(n_samples, n_targets) ensemble means.
 
         When every tree agrees on a sample the common value is returned
-        exactly, so constant forests reproduce constants bit-for-bit.
+        exactly, so constant forests reproduce constants bit-for-bit.  X must
+        be 2-D, and as wide as the model grid when the model has one.
         """
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValidationError(f"features must be a 2-D (samples, features) array, got shape {X.shape}")
+        meta = self.feature_meta
+        if meta is not None and X.shape[1] != meta.grid.size:
+            raise ValidationError(f"feature rows have {X.shape[1]} entries, model expects {meta.grid.size}")
         _check_finite("features", X)
         out = np.zeros((X.shape[0], len(self.target_names)))
         for t, trees in enumerate(self.forests):
@@ -338,23 +331,6 @@ class RandomForestModel:
                 np.maximum(hi, p, out=hi)
             out[:, t] = np.where(lo == hi, lo, acc / len(trees))
         return out
-
-
-def predict(model, x):
-    """Map of target name to ensemble prediction for a single feature vector."""
-    x = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError("predict expects a single 1-D feature vector")
-    meta = model.feature_meta
-    if meta is not None and x.size != meta.grid.size:
-        raise ValidationError(
-            f"feature vector has {x.size} entries, model expects {meta.grid.size}"
-        )
-    needed = model.n_features
-    if needed is not None and x.size < needed:
-        raise ValidationError(f"feature vector has {x.size} entries, trees use up to {needed}")
-    row = model.predict_matrix(x[None, :])[0]
-    return {name: float(v) for name, v in zip(model.target_names, row)}
 
 
 def oob_curve(trees, inbag_counts, X, y):

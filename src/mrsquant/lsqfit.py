@@ -8,8 +8,9 @@ for datasets playing the role of fitted in-vivo data.
 
 import numpy as np
 
-from .basis import render_metabolite
+from .basis import _metabolite_values
 from .errors import GridCompatibilityError, ValidationError
+from .signal import ppm_axis
 
 
 def _match_bins(spec_axis, basis_axis):
@@ -29,15 +30,11 @@ def _match_bins(spec_axis, basis_axis):
     return pick
 
 
-def basis_design_matrix(basis, spec_axis=None):
-    """Columns of unit-concentration real-part metabolite spectra on the given bins."""
-    rendered = [render_metabolite(basis, name, 1.0, 1.0) for name in basis.names]
-    full_axis = rendered[0].ppm_axis
-    if spec_axis is None:
-        rows = slice(None)
-    else:
-        rows = _match_bins(np.asarray(spec_axis, dtype=np.float64), full_axis)
-    return np.column_stack([r.values.real[rows] for r in rendered])
+def basis_design_matrix(basis, spec_axis):
+    """Columns of unit-concentration real-part metabolite spectra on the bins spec_axis."""
+    rows = _match_bins(np.asarray(spec_axis, dtype=np.float64), ppm_axis(basis.params, basis.reference_ppm))
+    one = np.ones(1)
+    return np.column_stack([_metabolite_values(basis, name, one, one)[0].real[rows] for name in basis.names])
 
 
 def polynomial_columns(n, degree):
@@ -66,9 +63,3 @@ def lsq_fit_batch(real_rows, basis, spec_axis, baseline_degree=4):
     P = polynomial_columns(rows.shape[1], baseline_degree)
     theta = np.linalg.lstsq(np.hstack([B, P]), rows.T, rcond=None)[0]
     return theta.T
-
-
-def lsq_fit(spec, basis, baseline_degree=4):
-    """{metabolite: least-squares concentration} for one spectrum."""
-    theta = lsq_fit_batch(spec.values.real[None, :], basis, spec.ppm_axis, baseline_degree)[0]
-    return {name: float(c) for name, c in zip(basis.names, theta)}

@@ -29,7 +29,6 @@ class FeatureMeta:
     crop_hi: float
     crop_lo: float
     acquisition: object
-    reference_ppm: float
     kind: str = FEATURE_KIND
 
 
@@ -43,7 +42,7 @@ def _window_mask(axis, hi, lo):
 def build_feature_space(dataset, hi=CROP_HI_PPM, lo=CROP_LO_PPM):
     """Feature matrix for a training dataset plus the metadata to reuse it."""
     mask = _window_mask(dataset.ppm_axis, hi, lo)
-    meta = FeatureMeta(dataset.ppm_axis[mask], hi, lo, dataset.params, dataset.reference_ppm)
+    meta = FeatureMeta(dataset.ppm_axis[mask], hi, lo, dataset.params)
     return meta, cr_normalize(dataset.values[:, mask].real, meta.grid)
 
 

@@ -1,4 +1,4 @@
-"""Cross-protocol spectral alignment: ppm cropping, exact regridding, Cr normalization.
+"""Cross-protocol spectral alignment: exact regridding and Cr normalization.
 
 Model features are the real part of the spectrum on the model's ppm grid
 (the quantification window of the training acquisition), divided by the
@@ -10,8 +10,8 @@ grid frequencies (``dtft_matrix``), which keeps every peak's height.
 
 import numpy as np
 
-from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
-from .signal import AcquisitionParams, ComplexSpectrum, _bin_order
+from .errors import GridCompatibilityError, UndefinedResultError
+from .signal import _bin_order
 
 # Quantification window in ppm, downfield bound first.
 CROP_HI_PPM = 4.3
@@ -20,31 +20,6 @@ CROP_LO_PPM = 0.2
 # normalizer of every feature row (8 bins of a 2500 Hz / 1024-point grid).
 CR_HI_PPM = 3.10
 CR_LO_PPM = 2.95
-
-
-def crop_ppm(spec, hi, lo):
-    """Retain exactly the bins with lo <= ppm <= hi; axis and params follow."""
-    if not hi > lo:
-        raise ValidationError(f"crop bounds must satisfy hi > lo, got hi={hi}, lo={lo}")
-    mask = (spec.ppm_axis >= lo) & (spec.ppm_axis <= hi)
-    kept = int(np.count_nonzero(mask))
-    if kept == 0:
-        raise GridCompatibilityError(
-            f"crop window [{lo}, {hi}] ppm does not overlap the axis "
-            f"[{spec.ppm_axis[-1]:.4f}, {spec.ppm_axis[0]:.4f}]"
-        )
-    if kept == spec.params.n_points:
-        return spec
-    if kept < 2:
-        raise GridCompatibilityError(f"crop window [{lo}, {hi}] ppm retains fewer than 2 bins")
-    params = AcquisitionParams(
-        spectral_width=spec.params.hz_per_bin * kept,
-        n_points=kept,
-        transmitter_freq=spec.params.transmitter_freq,
-        echo_time=spec.params.echo_time,
-        repetition_time=spec.params.repetition_time,
-    )
-    return ComplexSpectrum(spec.values[mask], spec.ppm_axis[mask], params)
 
 
 def dtft_matrix(ppm_axis, params, target_grid):

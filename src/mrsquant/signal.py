@@ -43,24 +43,6 @@ class AcquisitionParams:
             raise ValidationError(f"transmitter_freq must be > 0, got {self.transmitter_freq}")
         object.__setattr__(self, "n_points", int(self.n_points))
 
-    @property
-    def dwell_time(self):
-        """Sampling interval in seconds."""
-        return 1.0 / self.spectral_width
-
-    @property
-    def duration(self):
-        """Total acquisition time in seconds."""
-        return self.n_points / self.spectral_width
-
-    @property
-    def hz_per_bin(self):
-        return self.spectral_width / self.n_points
-
-    @property
-    def ppm_per_bin(self):
-        return self.hz_per_bin / self.transmitter_freq
-
 
 @dataclass(frozen=True)
 class LorentzianComponent:

@@ -102,27 +102,6 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class ParameterRecord:
-    """Raw uniform draws for one spectrum; ratios are relative to the Cr draw."""
-
-    index: int
-    concentration_draws: dict
-    concentrations: dict
-    t2_scale: float
-    snr: float
-    baseline_amplitude: float
-    lipid_amplitude: float
-
-    def labels(self):
-        cr = self.concentrations["Cr"]
-        return {
-            f"{name}/Cr": self.concentrations[name] / cr
-            for name in sorted(self.concentrations)
-            if name != "Cr"
-        }
-
-
-@dataclass(frozen=True)
 class LabeledSpectrum:
     spectrum: ComplexSpectrum
     labels: dict
@@ -132,27 +111,6 @@ class LabeledSpectrum:
 def _stream(seed, index, purpose):
     # purpose 0: parameter draws, 1: baseline, 2: lipids, 3: noise
     return np.random.default_rng([seed, index, purpose])
-
-
-def _draw_uniform(rng, lo, hi):
-    if lo == hi:
-        return lo
-    return rng.uniform(lo, hi)
-
-
-def sample_parameters(config, index):
-    """Deterministic per-index parameter draws; same (seed, index) gives the same record."""
-    if not 0 <= index < config.n_spectra:
-        raise ValidationError(f"index {index} out of range [0, {config.n_spectra})")
-    rng = _stream(config.rng_seed, index, 0)
-    draws = {name: _draw_uniform(rng, *config.concentration_ranges[name]) for name in sorted(config.concentration_ranges)}
-    t2_scale = _draw_uniform(rng, *config.t2_scale_range)
-    snr = _draw_uniform(rng, *config.snr_range)
-    baseline_amp = _draw_uniform(rng, *config.baseline_amplitude_range)
-    lipid_amp = _draw_uniform(rng, *config.lipid_amplitude_range)
-    cr = draws["Cr"]
-    concentrations = {name: (d if name == "Cr" else d * cr) for name, d in draws.items()}
-    return ParameterRecord(index, draws, concentrations, t2_scale, snr, baseline_amp, lipid_amp)
 
 
 def _gaussian_bumps(axis, centers, fwhms, heights):
@@ -286,36 +244,53 @@ def _simulate_chunk(config, indices, axis, curvature_bound):
     """Labeled spectra for indices, computed as (len(indices), n) arrays; rows share axis."""
     basis = config.basis
     seed = config.rng_seed
-    records = [sample_parameters(config, i) for i in indices]
-    names = list(records[0].concentrations)
-    clean = combination_values(
-        basis, names, np.array([[r.concentrations[n] for n in names] for r in records]),
-        np.array([r.t2_scale for r in records]),
-    )
+    names = sorted(config.concentration_ranges)
+    k = len(names)
+    # Columns: the concentration draws in names order, then T2 scale, SNR and
+    # the baseline and lipid amplitudes.  Ratios are relative to the Cr draw.
+    lo, hi = np.array([config.concentration_ranges[n] for n in names] + [
+        config.t2_scale_range, config.snr_range, config.baseline_amplitude_range,
+        config.lipid_amplitude_range,
+    ]).T
+    free = lo != hi
+    params = np.tile(lo, (len(indices), 1))
+    for row, i in zip(params, indices):
+        # fixed ranges draw nothing
+        row[free] = _stream(seed, i, 0).uniform(lo[free], hi[free])
+    draws = params[:, :k]
+    t2_scale, snr, baseline_amp, lipid_amp = params[:, k:].T
+    cr_col = names.index("Cr")
+    cr = draws[:, cr_col]
+    concentrations = draws * cr[:, None]
+    concentrations[:, cr_col] = cr
+    ratio_cols = [j for j, n in enumerate(names) if n != "Cr"]
+    labels = concentrations[:, ratio_cols] / cr[:, None]
+    clean = combination_values(basis, names, concentrations, t2_scale)
     tallest = np.max(np.abs(clean), axis=1)
-    baseline_abs = np.array([r.baseline_amplitude for r in records]) * tallest
-    lipid_abs = np.array([r.lipid_amplitude for r in records]) * tallest
+    baseline_abs = baseline_amp * tallest
+    lipid_abs = lipid_amp * tallest
     baseline = _baselines(axis, baseline_abs, [_stream(seed, i, 1) for i in indices], curvature_bound)
     lipids = _lipids(basis.params, basis.reference_ppm, lipid_abs, [_stream(seed, i, 2) for i in indices])
     values = clean + baseline + lipids
-    _add_noise(values, [r.snr for r in records], [_stream(seed, i, 3) for i in indices])
+    _add_noise(values, snr, [_stream(seed, i, 3) for i in indices])
     values.flags.writeable = False
+    targets = config.target_names
     return [
         LabeledSpectrum(
-            ComplexSpectrum(values[k], axis, basis.params),
-            r.labels(),
+            ComplexSpectrum(values[r], axis, basis.params),
+            dict(zip(targets, labels[r].tolist())),
             {
-                "concentration_draws": r.concentration_draws,
-                "concentrations": r.concentrations,
-                "t2_scale": r.t2_scale,
-                "snr": r.snr,
-                "baseline_amplitude": r.baseline_amplitude,
-                "lipid_amplitude": r.lipid_amplitude,
-                "baseline_amplitude_abs": baseline_abs[k],
-                "lipid_amplitude_abs": lipid_abs[k],
+                "concentration_draws": dict(zip(names, draws[r].tolist())),
+                "concentrations": dict(zip(names, concentrations[r].tolist())),
+                "t2_scale": t2_scale[r].item(),
+                "snr": snr[r].item(),
+                "baseline_amplitude": baseline_amp[r].item(),
+                "lipid_amplitude": lipid_amp[r].item(),
+                "baseline_amplitude_abs": baseline_abs[r],
+                "lipid_amplitude_abs": lipid_abs[r],
             },
         )
-        for k, r in enumerate(records)
+        for r in range(len(indices))
     ]
 
 
@@ -332,6 +307,9 @@ def simulate_dataset(config, indices=None, threads=1):
     Spectra are read-only row views of their chunk and share one ppm axis.
     """
     indices = list(range(config.n_spectra) if indices is None else indices)
+    bad = [i for i in indices if not 0 <= i < config.n_spectra]
+    if bad:
+        raise ValidationError(f"index {bad[0]} out of range [0, {config.n_spectra})")
     axis = ppm_axis(config.basis.params, config.basis.reference_ppm)
     axis.flags.writeable = False
     bound = _curvature_bound(axis)

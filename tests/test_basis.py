@@ -4,9 +4,9 @@ import pytest
 from mrsquant.basis import (
     BasisSet,
     MetaboliteBasis,
+    _metabolite_values,
     default_brain_basis,
     linear_combination,
-    render_metabolite,
 )
 from mrsquant.errors import UnknownMetaboliteError, ValidationError
 from mrsquant.signal import AcquisitionParams, LorentzianComponent
@@ -14,6 +14,11 @@ from mrsquant.signal import AcquisitionParams, LorentzianComponent
 from test_signal import measured_fwhm_bins
 
 PARAMS = AcquisitionParams(spectral_width=2500.0, n_points=1024, transmitter_freq=127.7)
+
+
+def render(basis, name, concentration, t2_scale=1.0):
+    """One metabolite alone: a one-entry linear combination."""
+    return linear_combination(basis, {name: concentration}, t2_scale)
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +46,11 @@ class TestBasisSet:
 
     def test_every_metabolite_renders_nonzero(self, basis):
         for name in basis.names:
-            spec = render_metabolite(basis, name, 1.0)
+            spec = render(basis, name, 1.0)
             assert np.max(np.abs(spec.values)) > 0
 
     def test_naa_peaks_at_its_singlet(self, basis):
-        spec = render_metabolite(basis, "NAA", 1.0)
+        spec = render(basis, "NAA", 1.0)
         peak = int(np.argmax(np.abs(spec.values)))
         assert peak == spec.nearest_bin(2.01)
 
@@ -59,28 +64,30 @@ class TestBasisSet:
 
 
 class TestRenderMetabolite:
+    """Single-metabolite spectra, rendered through linear_combination."""
+
     def test_zero_concentration_is_zero(self, basis):
-        spec = render_metabolite(basis, "NAA", 0.0)
+        spec = render(basis, "NAA", 0.0)
         assert np.all(spec.values == 0)
 
     def test_concentration_scales_linearly(self, basis):
-        one = render_metabolite(basis, "Cho", 1.0)
-        two = render_metabolite(basis, "Cho", 2.0)
+        one = render(basis, "Cho", 1.0)
+        two = render(basis, "Cho", 2.0)
         assert np.allclose(two.values, 2.0 * one.values, rtol=1e-12)
 
     def test_t2_scale_doubles_width(self, basis):
-        bin_hz = PARAMS.hz_per_bin
-        narrow = render_metabolite(basis, "NAA", 1.0, t2_scale=1.0)
-        wide = render_metabolite(basis, "NAA", 1.0, t2_scale=0.5)
+        bin_hz = PARAMS.spectral_width / PARAMS.n_points
+        narrow = render(basis, "NAA", 1.0, t2_scale=1.0)
+        wide = render(basis, "NAA", 1.0, t2_scale=0.5)
         f_narrow = measured_fwhm_bins(narrow.values.real) * bin_hz
         f_wide = measured_fwhm_bins(wide.values.real) * bin_hz
         assert abs(f_wide - 2.0 * f_narrow) <= bin_hz
 
     def test_rejects_bad_args(self, basis):
         with pytest.raises(ValidationError):
-            render_metabolite(basis, "NAA", -1.0)
+            render(basis, "NAA", -1.0)
         with pytest.raises(ValidationError):
-            render_metabolite(basis, "NAA", 1.0, t2_scale=0.0)
+            render(basis, "NAA", 1.0, t2_scale=0.0)
 
 
 class TestLinearCombination:
@@ -90,14 +97,15 @@ class TestLinearCombination:
         assert spec.ppm_axis.size == PARAMS.n_points
 
     def test_single_entry_matches_render(self, basis):
+        # the least-squares design matrix renders its columns this way
         combo = linear_combination(basis, {"NAA": 1.0})
-        direct = render_metabolite(basis, "NAA", 1.0, 1.0)
-        assert np.array_equal(combo.values, direct.values)
+        direct = _metabolite_values(basis, "NAA", np.ones(1), np.ones(1))[0]
+        assert np.array_equal(combo.values, direct)
 
     def test_additivity(self, basis):
         a, b = 1.3, 0.7
         combo = linear_combination(basis, {"NAA": a, "Cr": b})
-        expected = a * render_metabolite(basis, "NAA", 1.0).values + b * render_metabolite(
+        expected = a * render(basis, "NAA", 1.0).values + b * render(
             basis, "Cr", 1.0
         ).values
         scale = np.max(np.abs(expected))

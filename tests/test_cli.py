@@ -341,12 +341,12 @@ class TestOobScan:
 
 
 class TestThreads:
-    def test_flag_overrides_env(self, monkeypatch):
+    def test_flag_alone_sets_the_count(self, monkeypatch):
+        # an MRSQUANT_THREADS variable in the environment is ignored
         monkeypatch.setenv("MRSQUANT_THREADS", "8")
-        assert resolve_threads(2) == 2
-        assert resolve_threads(None) == 8
-        monkeypatch.delenv("MRSQUANT_THREADS")
         assert resolve_threads(None) == 1
+        assert resolve_threads(2) == 2
+        assert resolve_threads(0) == resolve_threads(-3) == 1
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "mrsquant.cli", "--help"],

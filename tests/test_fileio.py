@@ -10,7 +10,7 @@ from mrsquant.dataset import dataset_from_labeled
 from mrsquant.errors import FileFormatError, UnsupportedVersionError, ValidationError
 from mrsquant.evaluate import ExperimentSpec, run_experiment, summarize_errors
 from mrsquant.forest import ForestConfig
-from mrsquant.pipeline import train_model
+from mrsquant.pipeline import features_for_dataset, train_model
 from mrsquant.signal import AcquisitionParams
 from mrsquant.simulate import SimulationConfig, simulate_dataset
 
@@ -127,6 +127,23 @@ class TestModelFile:
         fileio.write_model(a, model)
         fileio.write_model(b, fileio.read_model(a))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stored_reference_ppm_is_ignored(self, tmp_path):
+        # files written before the key was dropped still carry feature.reference_ppm
+        model, ds = self._model()
+        path = tmp_path / "model.json"
+        fileio.write_model(path, model)
+        doc = json.loads(path.read_text())
+        assert "reference_ppm" not in doc["feature"]
+        doc["feature"]["reference_ppm"] = ds.reference_ppm
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        X = features_for_dataset(model.feature_meta, ds)
+        expected = fileio.read_model(path).predict_matrix(X)
+        assert np.array_equal(fileio.read_model(old).predict_matrix(X), expected)
+        again = tmp_path / "again.json"
+        fileio.write_model(again, fileio.read_model(old))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_truncated_file_raises(self, tmp_path):
         model, _ = self._model()

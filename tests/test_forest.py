@@ -11,9 +11,10 @@ from mrsquant.forest import (
     fit_forest,
     fit_tree,
     oob_curve,
-    predict,
     slice_forest,
 )
+from mrsquant.pipeline import FeatureMeta
+from mrsquant.signal import AcquisitionParams
 
 
 def brute_force_best_cost(X, y):
@@ -187,9 +188,11 @@ class TestFitTree:
 
     def test_more_rows_than_the_packed_key_holds_rejected(self):
         config = single_tree_config()
-        many = np.broadcast_to(np.zeros(1, dtype=np.intp), (MAX_ROWS + 1,))
-        with pytest.raises(ValidationError):
-            fit_tree(np.zeros((2, 1)), np.arange(2.0), many, config, np.random.default_rng(0))
+        # the packed key holds positions among the distinct rows, so a
+        # multiset of more than MAX_ROWS copies of one row is one leaf
+        many = np.broadcast_to(np.ones(1, dtype=np.intp), (MAX_ROWS + 1,))
+        tree = fit_tree(np.zeros((2, 1)), np.array([3.0, 5.0]), many, config, np.random.default_rng(0))
+        assert tree.n_nodes == 1 and tree.value.tolist() == [5.0]
         X = np.broadcast_to(np.zeros((1, 1)), (MAX_ROWS + 1, 1))
         with pytest.raises(ValidationError):
             fit_forest(X, np.broadcast_to(np.zeros(1), (MAX_ROWS + 1,)), config)
@@ -366,12 +369,15 @@ class TestFitForest:
         assert np.array_equal(sliced.oob_curves[0], small.oob_curves[0])
 
     def test_predict_map(self):
+        # column t of predict_matrix is target_names[t], each row the mean of its forest
         X, y = self._data(n=30)
         config = ForestConfig(n_trees=2, max_features=2, min_leaf_size=3, rng_seed=5)
-        model = fit_forest(X, y, config, target_names=["NAA/Cr"])
-        out = predict(model, X[0])
-        assert set(out) == {"NAA/Cr"}
-        assert out["NAA/Cr"] == pytest.approx(model.predict_matrix(X[:1])[0, 0])
+        model = fit_forest(X, np.column_stack([y, -y]), config, target_names=["NAA/Cr", "Cho/Cr"])
+        out = model.predict_matrix(X[:1])
+        assert out.shape == (1, 2)
+        for t in range(2):
+            trees = model.forests[t]
+            assert out[0, t] == pytest.approx(np.mean([tree.predict_batch(X[:1])[0] for tree in trees]))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -382,8 +388,14 @@ class TestFitForest:
         X, y = self._data(n=30)
         config = ForestConfig(n_trees=2, max_features=3, min_leaf_size=3, rng_seed=5)
         model = fit_forest(X, y, config)
-        with pytest.raises(ValidationError):
-            predict(model, X[0][:2])
+        with pytest.raises(ValidationError, match="2-D"):
+            model.predict_matrix(X[0])
+        model.feature_meta = FeatureMeta(np.linspace(4.0, 1.0, X.shape[1]), 4.3, 0.2,
+                                         AcquisitionParams(2500.0, 1024))
+        model.predict_matrix(X[:3])
+        for width in (2, 6):
+            with pytest.raises(ValidationError, match="model expects 5"):
+                model.predict_matrix(np.zeros((3, width)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected_at_predict(self, bad):
@@ -392,7 +404,7 @@ class TestFitForest:
         x = X[0].copy()
         x[3] = bad
         with pytest.raises(ValidationError):
-            predict(model, x)
+            model.predict_matrix(x[None, :])
         with pytest.raises(ValidationError):
             model.predict_matrix(np.vstack([X[:2], x]))
 

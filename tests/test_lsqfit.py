@@ -6,9 +6,8 @@ import pytest
 from mrsquant.basis import default_brain_basis, linear_combination
 from mrsquant.dataset import Dataset, dataset_from_labeled
 from mrsquant.errors import GridCompatibilityError, ValidationError
-from mrsquant.lsqfit import basis_design_matrix, lsq_fit, lsq_fit_batch, polynomial_columns
+from mrsquant.lsqfit import basis_design_matrix, lsq_fit_batch, polynomial_columns
 from mrsquant.pipeline import oracle_ratios
-from mrsquant.preprocess import crop_ppm
 from mrsquant.signal import AcquisitionParams, ComplexSpectrum, ppm_axis
 from mrsquant.simulate import SimulationConfig, add_noise, simulate_dataset
 
@@ -20,6 +19,21 @@ TARGETS = ["Cho/Cr", "NAA/Cr"]
 
 def clean_spectrum(concentrations=None):
     return linear_combination(BASIS, concentrations or TRUTH)
+
+
+def fit(spec, degree=4):
+    """{metabolite: concentration} of one spectrum, solved as a batch of one row."""
+    theta = lsq_fit_batch(spec.values.real[None, :], BASIS, spec.ppm_axis, degree)[0]
+    return dict(zip(BASIS.names, theta))
+
+
+def window(spec, hi=4.3, lo=0.2):
+    """The spectrum's bins inside [lo, hi] ppm, cropped with a mask as the pipeline does."""
+    mask = (spec.ppm_axis >= lo) & (spec.ppm_axis <= hi)
+    kept = int(mask.sum())
+    params = AcquisitionParams(spec.params.spectral_width * kept / spec.params.n_points, kept,
+                               spec.params.transmitter_freq)
+    return ComplexSpectrum(spec.values[mask], spec.ppm_axis[mask], params)
 
 
 def design(axis, degree):
@@ -41,15 +55,14 @@ def simulated(n, seed):
 
 class TestLsqFit:
     def test_exact_recovery_noiseless(self):
-        conc = lsq_fit(clean_spectrum(), BASIS, baseline_degree=0)
+        conc = fit(clean_spectrum(), 0)
         for name, value in TRUTH.items():
             assert conc[name] == pytest.approx(value, abs=1e-6)
         assert conc["mI"] == pytest.approx(0.0, abs=1e-6)
         assert conc["Glx"] == pytest.approx(0.0, abs=1e-6)
 
     def test_exact_recovery_on_cropped_window(self):
-        spec = crop_ppm(clean_spectrum(), 4.3, 0.2)
-        conc = lsq_fit(spec, BASIS, baseline_degree=4)
+        conc = fit(window(clean_spectrum()), 4)
         for name, value in TRUTH.items():
             assert conc[name] == pytest.approx(value, abs=1e-6)
 
@@ -71,14 +84,14 @@ class TestLsqFit:
     def test_scale_equivariance(self):
         spec = clean_spectrum()
         scaled = ComplexSpectrum(spec.values * 7.0, spec.ppm_axis, spec.params)
-        base = lsq_fit(spec, BASIS)
-        big = lsq_fit(scaled, BASIS)
+        base = fit(spec)
+        big = fit(scaled)
         for name in BASIS.names:
             assert big[name] == pytest.approx(7.0 * base[name], abs=1e-8)
 
     def test_residual_orthogonal_to_design(self):
         noisy = add_noise(clean_spectrum(), 15.0, np.random.default_rng(3))
-        spec = crop_ppm(noisy, 4.3, 0.2)
+        spec = window(noisy)
         A = design(spec.ppm_axis, 4)
         theta = lsq_fit_batch(spec.values.real[None, :], BASIS, spec.ppm_axis, 4)[0]
         residual = spec.values.real - A @ theta
@@ -89,7 +102,7 @@ class TestLsqFit:
         other = AcquisitionParams(2000.0, 400, 127.7)
         spec = linear_combination(default_brain_basis(other), TRUTH)
         with pytest.raises(GridCompatibilityError, match="render the basis"):
-            lsq_fit(spec, BASIS)
+            fit(spec)
 
     def test_batch_matches_single(self):
         specs = [
@@ -112,7 +125,7 @@ class TestLsqFit:
     @pytest.mark.parametrize("degree", [-1, 1.5])
     def test_bad_baseline_degree_refused(self, degree):
         with pytest.raises(ValidationError, match="baseline_degree"):
-            lsq_fit(clean_spectrum(), BASIS, baseline_degree=degree)
+            fit(clean_spectrum(), degree)
 
 
 class TestFitRatios:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from mrsquant.basis import default_brain_basis, linear_combination
-from mrsquant.errors import GridCompatibilityError, UndefinedResultError, ValidationError
+from mrsquant.dataset import Dataset
+from mrsquant.errors import GridCompatibilityError, UndefinedResultError
+from mrsquant.pipeline import build_feature_space, features_for_dataset
 from mrsquant.preprocess import (
     CR_HI_PPM,
     CR_LO_PPM,
     cr_normalize,
-    crop_ppm,
     dtft_matrix,
 )
 from mrsquant.signal import (
@@ -26,42 +27,50 @@ def example_spectrum(params=TRAIN_PARAMS):
     return linear_combination(basis, {"NAA": 1.2, "Cho": 0.3, "Cr": 1.0})
 
 
+def example_dataset(params=TRAIN_PARAMS):
+    spec = example_spectrum(params)
+    return Dataset(params, 4.7, spec.ppm_axis, spec.values[None, :], [])
+
+
 class TestCrop:
+    """The quantification window, cropped with a ppm mask as build_feature_space does."""
+
     def test_full_range_is_identity(self):
-        spec = example_spectrum()
-        out = crop_ppm(spec, spec.ppm_axis[0], spec.ppm_axis[-1])
-        assert np.array_equal(out.values, spec.values)
-        assert out.params == spec.params
+        data = example_dataset()
+        meta, X = build_feature_space(data, data.ppm_axis[0], data.ppm_axis[-1])
+        assert np.array_equal(meta.grid, data.ppm_axis)
+        assert np.array_equal(X, cr_normalize(data.values.real, data.ppm_axis))
 
     def test_window_postcondition(self):
-        spec = example_spectrum()
-        out = crop_ppm(spec, 4.3, 0.2)
-        assert np.all((out.ppm_axis >= 0.2) & (out.ppm_axis <= 4.3))
-        kept = (spec.ppm_axis >= 0.2) & (spec.ppm_axis <= 4.3)
-        assert out.params.n_points == int(kept.sum())
-        assert np.array_equal(out.values, spec.values[kept])
+        data = example_dataset()
+        meta, X = build_feature_space(data, 4.3, 0.2)
+        assert np.all((meta.grid >= 0.2) & (meta.grid <= 4.3))
+        kept = (data.ppm_axis >= 0.2) & (data.ppm_axis <= 4.3)
+        assert X.shape == (1, int(kept.sum()))
+        assert np.array_equal(X, cr_normalize(data.values.real[:, kept], data.ppm_axis[kept]))
 
     def test_idempotent(self):
-        spec = example_spectrum()
-        once = crop_ppm(spec, 4.3, 0.2)
-        twice = crop_ppm(once, 4.3, 0.2)
-        assert np.array_equal(once.values, twice.values)
-        assert np.array_equal(once.ppm_axis, twice.ppm_axis)
+        data = example_dataset()
+        meta, X = build_feature_space(data, 4.3, 0.2)
+        kept = meta.grid.size
+        params = AcquisitionParams(TRAIN_PARAMS.spectral_width * kept / TRAIN_PARAMS.n_points, kept,
+                                   TRAIN_PARAMS.transmitter_freq)
+        window = (data.ppm_axis >= 0.2) & (data.ppm_axis <= 4.3)
+        cropped = Dataset(params, 4.7, meta.grid, data.values[:, window], [])
+        assert np.array_equal(features_for_dataset(meta, cropped), X)
 
     def test_bin_width_preserved(self):
-        spec = example_spectrum()
-        out = crop_ppm(spec, 4.3, 0.2)
-        assert out.params.hz_per_bin == pytest.approx(spec.params.hz_per_bin, rel=1e-12)
+        meta, _ = build_feature_space(example_dataset(), 4.3, 0.2)
+        ppm_per_bin = TRAIN_PARAMS.spectral_width / TRAIN_PARAMS.n_points / TRAIN_PARAMS.transmitter_freq
+        assert np.allclose(-np.diff(meta.grid), ppm_per_bin, rtol=1e-9)
 
     def test_empty_overlap_raises(self):
-        spec = example_spectrum()
         with pytest.raises(GridCompatibilityError):
-            crop_ppm(spec, 100.0, 99.0)
+            build_feature_space(example_dataset(), 100.0, 99.0)
 
     def test_inverted_bounds_raise(self):
-        spec = example_spectrum()
-        with pytest.raises(ValidationError):
-            crop_ppm(spec, 0.2, 4.3)
+        with pytest.raises(GridCompatibilityError):
+            build_feature_space(example_dataset(), 0.2, 4.3)
 
 
 class TestDtft:
@@ -84,7 +93,7 @@ class TestDtft:
 
     def test_outside_band_raises(self):
         spec = example_spectrum(MRSI_PARAMS)
-        beyond = spec.ppm_axis[0] + MRSI_PARAMS.ppm_per_bin
+        beyond = spec.ppm_axis[0] + MRSI_PARAMS.spectral_width / MRSI_PARAMS.n_points / 127.7
         with pytest.raises(GridCompatibilityError):
             dtft_matrix(spec.ppm_axis, MRSI_PARAMS, np.array([beyond]))
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mrsquant.basis import default_brain_basis, linear_combination, render_metabolite
+from mrsquant.basis import default_brain_basis, linear_combination
 from mrsquant.dataset import dataset_from_labeled
 from mrsquant.errors import ValidationError
 from mrsquant.signal import AcquisitionParams, ComplexSpectrum, ppm_axis
@@ -14,7 +14,6 @@ from mrsquant.simulate import (
     add_noise,
     generate_baseline,
     generate_lipids,
-    sample_parameters,
     simulate_dataset,
     simulate_spectrum,
 )
@@ -59,44 +58,70 @@ class TestConfig:
 
 
 class TestSampleParameters:
+    """Per-spectrum parameter draws, as simulate_dataset records them in truth_params."""
+
     def test_degenerate_ranges_give_constants(self):
         cfg = degenerate_config(naa=1.5, cho=0.2, cr=1.0, snr=20.0, baseline=0.1, lipid=0.4)
-        rec = sample_parameters(cfg, 0)
-        assert rec.concentration_draws == {"Cho": 0.2, "Cr": 1.0, "NAA": 1.5}
-        assert rec.snr == 20.0
-        assert rec.baseline_amplitude == 0.1
-        assert rec.lipid_amplitude == 0.4
-        assert rec.t2_scale == 1.0
+        truth = simulate_spectrum(cfg, 0).truth_params
+        assert truth["concentration_draws"] == {"Cho": 0.2, "Cr": 1.0, "NAA": 1.5}
+        assert truth["snr"] == 20.0
+        assert truth["baseline_amplitude"] == 0.1
+        assert truth["lipid_amplitude"] == 0.4
+        assert truth["t2_scale"] == 1.0
 
     def test_same_seed_index_identical(self):
         cfg = SimulationConfig(basis=BASIS, n_spectra=10, rng_seed=77)
-        a = sample_parameters(cfg, 4)
-        b = sample_parameters(cfg, 4)
-        assert a == b
+        assert simulate_spectrum(cfg, 4).truth_params == simulate_spectrum(cfg, 4).truth_params
 
     def test_different_indices_differ(self):
         cfg = SimulationConfig(basis=BASIS, n_spectra=10, rng_seed=77)
-        assert sample_parameters(cfg, 0) != sample_parameters(cfg, 1)
+        assert simulate_spectrum(cfg, 0).truth_params != simulate_spectrum(cfg, 1).truth_params
 
     def test_index_out_of_range(self):
         cfg = degenerate_config(n=3)
         with pytest.raises(ValidationError):
-            sample_parameters(cfg, 3)
+            simulate_spectrum(cfg, 3)
+        with pytest.raises(ValidationError):
+            simulate_dataset(cfg, [0, -1])
 
     def test_uniform_mean_over_many_draws(self):
+        # a 64-point basis with no baseline, lipids or noise keeps 10k spectra cheap
+        small = default_brain_basis(AcquisitionParams(2500.0, 64, 127.7))
         cfg = SimulationConfig(
-            basis=BASIS, n_spectra=10_000, rng_seed=11,
+            basis=small, n_spectra=10_000, rng_seed=11,
             concentration_ranges={"NAA": (0.0 + 1e-12, 1.0), "Cr": (1.0, 1.0)},
+            snr_range=(math.inf, math.inf), baseline_amplitude_range=(0.0, 0.0),
+            lipid_amplitude_range=(0.0, 0.0),
         )
-        draws = np.array([sample_parameters(cfg, i).concentration_draws["NAA"] for i in range(10_000)])
+        draws = np.array([ls.truth_params["concentration_draws"]["NAA"] for ls in simulate_dataset(cfg)])
         assert 0.48 <= draws.mean() <= 0.52
 
     def test_ratio_labels_relative_to_cr(self):
         cfg = degenerate_config(naa=2.0, cho=0.3, cr=1.4)
-        rec = sample_parameters(cfg, 0)
-        assert rec.concentrations["NAA"] == pytest.approx(2.0 * 1.4)
-        assert rec.labels()["NAA/Cr"] == pytest.approx(2.0)
-        assert rec.labels()["Cho/Cr"] == pytest.approx(0.3)
+        ls = simulate_spectrum(cfg, 0)
+        assert ls.truth_params["concentrations"]["NAA"] == pytest.approx(2.0 * 1.4)
+        assert ls.labels["NAA/Cr"] == pytest.approx(2.0)
+        assert ls.labels["Cho/Cr"] == pytest.approx(0.3)
+
+    def test_free_ranges_draw_in_order_from_the_row_stream(self):
+        # each free range takes the next scalar uniform of the (seed, index, 0)
+        # stream, in the order Cho, Cr, NAA, T2 scale, SNR, baseline, lipid;
+        # the fixed NAA and T2 ranges draw nothing
+        cfg = SimulationConfig(basis=BASIS, n_spectra=40, rng_seed=21,
+                               concentration_ranges={"NAA": (1.1, 1.1), "Cho": (0.1, 0.6),
+                                                     "Cr": (0.5, 1.5)},
+                               t2_scale_range=(0.9, 0.9))
+        for index in (0, 17, 39):
+            rng = np.random.default_rng([21, index, 0])
+            cho, cr = rng.uniform(0.1, 0.6), rng.uniform(0.5, 1.5)
+            snr, baseline, lipid = rng.uniform(5.0, 50.0), rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0)
+            ls = simulate_spectrum(cfg, index)
+            truth = ls.truth_params
+            assert truth["concentration_draws"] == {"Cho": cho, "Cr": cr, "NAA": 1.1}
+            assert truth["concentrations"] == {"Cho": cho * cr, "Cr": cr, "NAA": 1.1 * cr}
+            assert (truth["t2_scale"], truth["snr"]) == (0.9, snr)
+            assert (truth["baseline_amplitude"], truth["lipid_amplitude"]) == (baseline, lipid)
+            assert ls.labels == {"Cho/Cr": cho * cr / cr, "NAA/Cr": 1.1 * cr / cr}
 
 
 class TestBaseline:
@@ -125,7 +150,7 @@ class TestBaseline:
     def test_broader_than_any_metabolite_peak(self):
         # narrowest allowed bump (0.3 ppm) is far wider than a default-t2 peak
         # (~0.025 ppm), so normalized curvature must be far lower
-        peak = render_metabolite(BASIS, "NAA", 1.0).values.real
+        peak = linear_combination(BASIS, {"NAA": 1.0}).values.real
         peak_curv = np.max(np.abs(np.diff(peak, n=2))) / np.max(np.abs(peak))
         for seed in range(10):
             spec = generate_baseline(1.0, PARAMS, np.random.default_rng(seed))
@@ -145,7 +170,7 @@ class TestLipids:
     def test_peak_near_lipid_shifts(self):
         spec = generate_lipids(3.0, PARAMS, np.random.default_rng(4))
         peak_ppm = spec.ppm_axis[int(np.argmax(np.abs(spec.values)))]
-        bin_ppm = PARAMS.ppm_per_bin
+        bin_ppm = PARAMS.spectral_width / PARAMS.n_points / PARAMS.transmitter_freq
         assert min(abs(peak_ppm - 1.3), abs(peak_ppm - 0.9)) <= bin_ppm
 
     def test_amplitude_scales_linearly(self):
