@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration/validation error, 3 data
 compatibility error (e.g. grid mismatch without --preprocess), 4 undefined
-numerical result.  --threads sets the worker count (default 1).
+numerical result.  --threads sets the worker count (default 1): train,
+evaluate and oob-scan grow trees in that many forked processes, simulate
+uses threads, and predict runs on one thread.  No output depends on it.
 """
 
 import argparse
@@ -18,6 +20,8 @@ from .evaluate import ExperimentSpec, run_experiment
 from .forest import ForestConfig
 from .pipeline import features_for_dataset, train_model
 from .simulate import simulate_dataset
+
+_TREE_WORKERS_HELP = "forked worker processes growing the trees; the output does not depend on it"
 
 DEFAULT_ACQUISITION = {"spectral_width_hz": 2500.0, "n_points": 1024,
                        "transmitter_freq_mhz": 127.7, "echo_time_ms": 35.0,
@@ -211,7 +215,7 @@ def build_parser():
     p.add_argument("--max-depth", type=_max_depth, default=None, dest="max_depth",
                    help="positive integer, or none/unlimited (the default)")
     p.add_argument("--oob-csv", dest="oob_csv")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_TREE_WORKERS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="quantify spectra with a trained model")
@@ -228,7 +232,7 @@ def build_parser():
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--output", required=True, help="report JSON path")
     p.add_argument("--csv", help="per-sample CSV path (default: <output>.samples.csv)")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_TREE_WORKERS_HELP)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("oob-scan", help="sweep n_trees x max_features, emit the OOB grid CSV")
@@ -239,7 +243,7 @@ def build_parser():
     p.add_argument("--features", default="1,4,16,64,256",
                    help="comma-separated max_features values")
     p.add_argument("--min-leaf", type=int, default=5, dest="min_leaf")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_TREE_WORKERS_HELP)
     p.set_defaults(func=cmd_oob_scan)
     return parser
 

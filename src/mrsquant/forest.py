@@ -6,10 +6,11 @@ sample and split features from an RNG stream seeded by (rng_seed, target
 index, tree index), and samples are re-indexed against a canonical sort
 order before any draw, so a trained model is a pure function of the
 (unordered) training set and the configuration regardless of row order or
-thread scheduling.
+how the trees are spread over worker processes.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -310,7 +311,8 @@ class RandomForestModel:
 
         When every tree agrees on a sample the common value is returned
         exactly, so constant forests reproduce constants bit-for-bit.  X must
-        be 2-D, and as wide as the model grid when the model has one.
+        be 2-D, as wide as the model grid when the model has one, and wider
+        than every feature a tree splits on.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -318,6 +320,9 @@ class RandomForestModel:
         meta = self.feature_meta
         if meta is not None and X.shape[1] != meta.grid.size:
             raise ValidationError(f"feature rows have {X.shape[1]} entries, model expects {meta.grid.size}")
+        widest = max(int(tree.feature.max()) for trees in self.forests for tree in trees)
+        if X.shape[1] <= widest:
+            raise ValidationError(f"feature rows have {X.shape[1]} entries, a tree splits on feature {widest}")
         _check_finite("features", X)
         out = np.zeros((X.shape[0], len(self.target_names)))
         for t, trees in enumerate(self.forests):
@@ -383,8 +388,29 @@ def _fit_one_tree(Xc, ranks, yc, config, target_index, tree_index):
     return tree, drawn > 0
 
 
+_job_inputs = None  # (Xc, ranks, Yc, config) of a forked tree worker; never set in the caller
+
+
+def _share_job_inputs(*inputs):
+    global _job_inputs
+    _job_inputs = inputs
+
+
+def _fit_job(job):
+    Xc, ranks, Yc, config = _job_inputs
+    t, i = job
+    return _fit_one_tree(Xc, ranks, Yc[t], config, t, i)
+
+
 def fit_forest(X, Y, config, target_names=None, threads=1):
-    """Train one forest per target column of Y; deterministic for a fixed config."""
+    """Train one forest per target column of Y; deterministic for a fixed config.
+
+    With threads > 1 the (target, tree) jobs are spread over that many
+    worker processes.  The grower holds the interpreter lock for most of a
+    tree, so threads would not overlap.  The workers are forked, so they
+    inherit the canonical training arrays instead of receiving a pickled
+    copy, and only the trees and in-bag masks come back.
+    """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
@@ -404,16 +430,15 @@ def fit_forest(X, Y, config, target_names=None, threads=1):
     Yc = np.ascontiguousarray(Y[canon].T)
     ranks = _rank_table(Xc)
 
-    def fit(job):
-        t, i = job
-        return _fit_one_tree(Xc, ranks, Yc[t], config, t, i)
-
     jobs = [(t, i) for t in range(Y.shape[1]) for i in range(config.n_trees)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fit, jobs))
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_share_job_inputs,
+                                 initargs=(Xc, ranks, Yc, config)) as pool:
+            results = list(pool.map(_fit_job, jobs))
     else:
-        results = [fit(job) for job in jobs]
+        results = [_fit_one_tree(Xc, ranks, Yc[t], config, t, i) for t, i in jobs]
     forests = []
     curves = []
     for t in range(Y.shape[1]):

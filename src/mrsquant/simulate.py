@@ -53,6 +53,9 @@ def _check_range(name, rng_pair, low_exclusive=False):
     lo, hi = rng_pair
     if not (lo <= hi):
         raise ValidationError(f"{name}: min {lo} must be <= max {hi}")
+    # a fixed value may be infinite (snr inf means noiseless); nothing can be drawn up to inf
+    if lo != hi and not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{name}: bounds must be finite unless equal, got [{lo}, {hi}]")
     if low_exclusive and not lo > 0:
         raise ValidationError(f"{name}: min must be > 0, got {lo}")
     if not low_exclusive and lo < 0:

@@ -65,6 +65,16 @@ class TestSimulate:
         assert code == 2
         assert "concentration_ranges[NAA]" in capsys.readouterr().err
 
+    def test_unbounded_range_exits_2_naming_field(self, tmp_path, capsys):
+        # 1e400 parses as inf; uniform draws up to it overflowed with a traceback
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps({"acquisition": ACQ_SMALL}).replace(
+            "}}", '}, "snr_range": [5, 1e400]}'))
+        code = main(["simulate", "--config", str(cfg), "--seed", "1", "--n-spectra", "3",
+                     "--output", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "snr_range" in capsys.readouterr().err
+
     def test_missing_seed_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n-spectra", "3", "--output", str(tmp_path / "x.json")])

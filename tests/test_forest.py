@@ -1,8 +1,10 @@
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from mrsquant import forest
 from mrsquant.errors import ValidationError
 from mrsquant.forest import (
     MAX_ROWS,
@@ -250,6 +252,24 @@ class TestFitForest:
                 assert ta.equals(tb)
             assert np.array_equal(serial.oob_curves[0], threaded.oob_curves[0])
 
+    def test_worker_processes_exit_with_fit_forest(self):
+        X, y = self._data()
+        fit_forest(X, y, ForestConfig(n_trees=4, max_features=3, rng_seed=2), threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_tree_job_error_reaches_caller(self, monkeypatch):
+        def refuse(Xc, ranks, yc, config, target_index, tree_index):
+            raise ValidationError(f"tree {tree_index} refused")
+
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(forest, "_fit_one_tree", refuse)
+        X, y = self._data()
+        with pytest.raises(ValidationError) as caught:
+            fit_forest(X, y, ForestConfig(n_trees=4, max_features=3, rng_seed=2), threads=2)
+        assert type(caught.value) is ValidationError
+        assert str(caught.value) == "tree 0 refused"
+        assert multiprocessing.active_children() == []
+
     def test_constant_target(self):
         X, _ = self._data()
         y = np.full(X.shape[0], 2.25)
@@ -396,6 +416,16 @@ class TestFitForest:
         for width in (2, 6):
             with pytest.raises(ValidationError, match="model expects 5"):
                 model.predict_matrix(np.zeros((3, width)))
+
+    def test_predict_narrower_than_split_features_rejected(self):
+        X, y = self._data(n=40)
+        model = fit_forest(X, y, ForestConfig(n_trees=4, max_features=3, min_leaf_size=2, rng_seed=5))
+        assert model.feature_meta is None
+        widest = max(int(tree.feature.max()) for tree in model.forests[0])
+        assert widest >= 2
+        with pytest.raises(ValidationError, match=f"splits on feature {widest}"):
+            model.predict_matrix(np.zeros((2, 2)))
+        model.predict_matrix(np.zeros((2, widest + 1)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected_at_predict(self, bad):
