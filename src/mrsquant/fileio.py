@@ -64,14 +64,14 @@ def encode_spectrum(values):
 
 
 def decode_spectrum(text, n_points):
-    """The n_points complex values base64 text holds, or None when it holds no such block."""
+    """The bytes of the n_points complex values base64 text holds, or None when it holds no such block."""
     if not isinstance(text, str) or not text.isascii():
         return None
     try:
         raw = base64.b64decode(text, validate=True)
     except binascii.Error:
         return None
-    return np.frombuffer(raw, dtype="<c16").astype(np.complex128) if len(raw) == 16 * n_points else None
+    return raw if len(raw) == 16 * n_points else None
 
 
 def acquisition_to_dict(params):
@@ -210,9 +210,10 @@ def write_dataset(path, dataset):
             rec = {
                 "labels": dataset.label_map(i),
                 "truth_params": dataset.truth_params[i] if dataset.truth_params else None,
-                "spectrum_b64": encode_spectrum(dataset.values[i]),
             }
-            f.write(json.dumps(rec))
+            # base64 needs no JSON escaping, so the spectrum is spliced in as text
+            f.write(json.dumps(rec)[:-1])
+            f.write(f', "spectrum_b64": "{encode_spectrum(dataset.values[i])}"}}')
             f.write(",\n" if i < n - 1 else "\n")
         f.write("]}\n")
 
@@ -225,13 +226,16 @@ def read_dataset(path):
         target_names = list(data["target_names"])
         if len(records) == 0:
             raise ValidationError(f"{path}: dataset holds no spectra")
-        rows = [decode_spectrum(r.get("spectrum_b64"), params.n_points) for r in records]
-        unreadable = [i for i, row in enumerate(rows) if row is None]
-        if unreadable:
-            raise FileFormatError(f"{path}: record {unreadable[0]} has no readable spectrum_b64 "
-                                  f"of {params.n_points} points")
-        values = np.stack(rows)
-        del rows  # one copy of the spectra from here on
+        # each string is dropped as it is decoded, so its memory can hold the next block
+        blocks = []
+        for i, r in enumerate(records):
+            block = decode_spectrum(r.pop("spectrum_b64", None), params.n_points)
+            if block is None:
+                raise FileFormatError(f"{path}: record {i} has no readable spectrum_b64 "
+                                      f"of {params.n_points} points")
+            blocks.append(block)
+        values = np.frombuffer(bytearray().join(blocks), "<c16").reshape(len(records), params.n_points)
+        del blocks  # one copy of the spectra from here on
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
             raise FileFormatError(

@@ -49,13 +49,13 @@ _BASELINE_ATTEMPTS = 100
 CHUNK_SIZE = 128
 
 
-def _check_range(name, rng_pair, low_exclusive=False):
+def _check_range(name, rng_pair, low_exclusive=False, fixed_inf=False):
     lo, hi = rng_pair
     if not (lo <= hi):
         raise ValidationError(f"{name}: min {lo} must be <= max {hi}")
-    # a fixed value may be infinite (snr inf means noiseless); nothing can be drawn up to inf
-    if lo != hi and not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"{name}: bounds must be finite unless equal, got [{lo}, {hi}]")
+    # only snr may be a fixed inf (noiseless); nothing can be drawn up to inf
+    if not (math.isfinite(lo) and math.isfinite(hi)) and not (fixed_inf and lo == hi):
+        raise ValidationError(f"{name}: bounds must be finite{' unless equal' if fixed_inf else ''}, got [{lo}, {hi}]")
     if low_exclusive and not lo > 0:
         raise ValidationError(f"{name}: min must be > 0, got {lo}")
     if not low_exclusive and lo < 0:
@@ -90,7 +90,7 @@ class SimulationConfig:
             raise ValidationError("concentration_ranges must include Cr (labels are ratios to Cr)")
         object.__setattr__(self, "concentration_ranges", ranges)
         object.__setattr__(self, "t2_scale_range", _check_range("t2_scale_range", self.t2_scale_range, True))
-        object.__setattr__(self, "snr_range", _check_range("snr_range", self.snr_range, True))
+        object.__setattr__(self, "snr_range", _check_range("snr_range", self.snr_range, True, fixed_inf=True))
         object.__setattr__(
             self, "baseline_amplitude_range", _check_range("baseline_amplitude_range", self.baseline_amplitude_range)
         )

@@ -75,6 +75,18 @@ class TestSimulate:
         assert code == 2
         assert "snr_range" in capsys.readouterr().err
 
+    def test_infinite_fixed_amplitude_exits_2_naming_field(self, tmp_path, capsys):
+        # a fixed inf baseline amplitude wrote all-NaN records and exited 0
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps({"acquisition": ACQ_SMALL}).replace(
+            "}}", '}, "baseline_amplitude_range": [1e400, 1e400]}'))
+        out = tmp_path / "x.json"
+        code = main(["simulate", "--config", str(cfg), "--seed", "1", "--n-spectra", "2",
+                     "--output", str(out)])
+        assert code == 2
+        assert "baseline_amplitude_range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n-spectra", "3", "--output", str(tmp_path / "x.json")])

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mrsquant import fileio
 from mrsquant.basis import default_brain_basis
-from mrsquant.dataset import dataset_from_labeled
+from mrsquant.dataset import Dataset, dataset_from_labeled
 from mrsquant.errors import FileFormatError, UnsupportedVersionError, ValidationError
 from mrsquant.evaluate import ExperimentSpec, run_experiment, summarize_errors
 from mrsquant.forest import ForestConfig
@@ -16,6 +17,7 @@ from mrsquant.simulate import SimulationConfig, simulate_dataset
 
 PARAMS = AcquisitionParams(spectral_width=2500.0, n_points=256, transmitter_freq=127.7)
 BASIS = default_brain_basis(PARAMS)
+WIDE = AcquisitionParams(spectral_width=2500.0, n_points=1024, transmitter_freq=127.7)
 
 
 def small_dataset(n=12, seed=5):
@@ -69,6 +71,55 @@ class TestDatasetFile:
         fileio.write_dataset(a, ds)
         fileio.write_dataset(b, fileio.read_dataset(a))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_record_lines_are_the_json_of_each_record(self, tmp_path, with_labels):
+        ds = small_dataset(n=4)
+        if not with_labels:
+            ds = Dataset(ds.params, ds.reference_ppm, ds.ppm_axis, ds.values, ds.target_names)
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, ds)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        start = lines.index('"records": [') + 1
+        assert lines[start + ds.n_spectra:] == ["]}", ""]
+        for i, line in enumerate(lines[start:start + ds.n_spectra]):
+            expected = json.dumps({
+                "labels": ds.label_map(i),
+                "truth_params": ds.truth_params[i] if with_labels else None,
+                "spectrum_b64": fileio.encode_spectrum(ds.values[i]),
+            })
+            assert line == expected + ("," if i < ds.n_spectra - 1 else "")
+
+    def test_read_peak_memory_near_twice_the_file(self, tmp_path):
+        # the text and the parsed records, then one copy of the spectra
+        cfg = SimulationConfig(basis=default_brain_basis(WIDE), n_spectra=200, rng_seed=9)
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, dataset_from_labeled(
+            simulate_dataset(cfg), fileio.sim_config_to_dict(cfg), cfg.target_names))
+        tracemalloc.start()
+        try:
+            loaded = fileio.read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * path.stat().st_size
+        values = loaded.values
+        assert values.dtype == np.complex128 and values.shape == (200, WIDE.n_points)
+        assert values.flags.c_contiguous and values.flags.writeable
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec.update(spectrum_b64=rec["spectrum_b64"][:-8]),
+        lambda rec: rec.update(spectrum_b64="not base64!"),
+        lambda rec: rec.pop("spectrum_b64"),
+    ])
+    def test_unreadable_spectrum_names_its_record(self, tmp_path, edit):
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, small_dataset(n=3))
+        doc = json.loads(path.read_text())
+        edit(doc["records"][1])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=r"record 1 has no readable spectrum_b64"):
+            fileio.read_dataset(path)
 
     def test_regenerate_from_embedded_config(self, tmp_path):
         ds = small_dataset()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ class TestConfig:
     def test_target_names(self):
         cfg = degenerate_config()
         assert cfg.target_names == ["Cho/Cr", "NAA/Cr"]
+
+    @pytest.mark.parametrize("field, ranges", [
+        ("concentration_ranges[NAA]",
+         {"concentration_ranges": {"NAA": (math.inf, math.inf), "Cr": (1.0, 1.0)}}),
+        ("concentration_ranges[Cr]",
+         {"concentration_ranges": {"NAA": (1.0, 1.0), "Cr": (math.inf, math.inf)}}),
+        ("t2_scale_range", {"t2_scale_range": (math.inf, math.inf)}),
+        ("baseline_amplitude_range", {"baseline_amplitude_range": (math.inf, math.inf)}),
+        ("lipid_amplitude_range", {"lipid_amplitude_range": (math.inf, math.inf)}),
+    ])
+    def test_rejects_infinite_bounds_naming_the_field(self, field, ranges):
+        # a fixed inf simulated NaN spectra; only snr_range may be (inf, inf), meaning noiseless
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            SimulationConfig(basis=BASIS, n_spectra=1, rng_seed=0, **ranges)
 
 
 class TestSampleParameters:
