@@ -17,8 +17,8 @@ from . import fileio
 from .dataset import config_fingerprint, dataset_from_labeled
 from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
 from .evaluate import ExperimentSpec, run_experiment
-from .forest import ForestConfig
-from .pipeline import features_for_dataset, train_model
+from .forest import ForestConfig, fit_forest
+from .pipeline import build_feature_space, features_for_dataset, train_model
 from .simulate import simulate_dataset
 
 _TREE_WORKERS_HELP = "forked worker processes growing the trees; the output does not depend on it"
@@ -90,11 +90,8 @@ def cmd_train(args):
     model = train_model(dataset, config, threads=threads)
     fileio.write_model(args.output, model)
     oob_path = args.oob_csv or args.output + ".oob.csv"
-    entries = [
-        (name, config.max_features, curve)
-        for name, curve in zip(model.target_names, model.oob_curves)
-        if curve is not None
-    ]
+    entries = [(name, config.max_features, curve)
+               for name, curve in zip(model.target_names, model.oob_curves)]
     fileio.write_oob_csv(oob_path, entries, fileio.model_fingerprint(model))
     print(f"trained {config.n_trees} trees x {len(model.target_names)} targets from {args.dataset}")
     for name in model.target_names:
@@ -170,18 +167,21 @@ def cmd_oob_scan(args):
         raise ValidationError(f"--features must be a comma-separated integer list: {e}") from e
     if not features:
         raise ValidationError("--features must name at least one value")
+    configs = [ForestConfig(n_trees=args.trees, max_features=mf, min_leaf_size=args.min_leaf,
+                            max_depth=None, rng_seed=args.seed) for mf in features]
+    _, X = build_feature_space(dataset)
+    if max(features) > X.shape[1]:
+        raise ValidationError(f"--features value {max(features)} exceeds the {X.shape[1]} "
+                              f"features of {args.dataset}")
     entries = []
     scan_cfg = {"dataset_fingerprint": dataset.fingerprint, "trees": args.trees,
                 "features": features, "seed": args.seed, "min_leaf": args.min_leaf}
-    for mf in features:
-        config = ForestConfig(n_trees=args.trees, max_features=mf, min_leaf_size=args.min_leaf,
-                              max_depth=None, rng_seed=args.seed)
-        model = train_model(dataset, config, threads=threads)
+    for config in configs:
+        model = fit_forest(X, dataset.labels, config, dataset.target_names, threads)
         for name, curve in zip(model.target_names, model.oob_curves):
-            entries.append((name, mf, curve))
-        print(f"max_features={mf}: " + " ".join(
-            f"oob[{name}]={model.oob_error(name):.6g}" for name in model.target_names
-        ))
+            entries.append((name, config.max_features, curve))
+        print(f"max_features={config.max_features}: " + " ".join(
+            f"oob[{name}]={model.oob_error(name):.6g}" for name in model.target_names))
     fileio.write_oob_csv(args.output, entries, config_fingerprint(scan_cfg))
     print(f"OOB sweep written to {args.output}")
     return 0
@@ -240,7 +240,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--features", default="1,4,16,64,256",
+    p.add_argument("--features", default="1,4,16,64,128",
                    help="comma-separated max_features values")
     p.add_argument("--min-leaf", type=int, default=5, dest="min_leaf")
     p.add_argument("--threads", type=int, help=_TREE_WORKERS_HELP)

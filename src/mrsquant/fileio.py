@@ -373,7 +373,6 @@ def read_model(path):
             config=forest_config_from_dict(data["config"]),
             target_names=target_names,
             forests=forests,
-            inbag_counts=None,
             oob_curves=oob,
             feature_meta=meta,
             dataset_fingerprint=data.get("dataset_fingerprint"),

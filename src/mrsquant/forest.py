@@ -9,6 +9,7 @@ order before any draw, so a trained model is a pure function of the
 how the trees are spread over worker processes.
 """
 
+import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -290,10 +291,11 @@ class RandomForestModel:
     config: ForestConfig
     target_names: list
     forests: list  # list (per target) of lists of RegressionTree
-    inbag_counts: list  # unused: None on every model; fit_forest turns them into oob_curves
     oob_curves: list  # per target: ndarray, mean relative OOB error after m trees
     feature_meta: object = None
     dataset_fingerprint: str | None = None
+    # always None: kept only because perfbench/layers.py:model_stats reads it (ROADMAP item 1)
+    inbag_counts: list | None = None
 
     def __post_init__(self):
         if not self.target_names:
@@ -338,43 +340,33 @@ class RandomForestModel:
         return out
 
 
-def oob_curve(trees, inbag_counts, X, y):
+def oob_curve(oob_preds, y):
     """Mean |pred - y| / |y| over OOB samples, after each prefix of the ensemble.
 
-    inbag_counts holds, per tree, each sample's bootstrap multiplicity or an
-    in-bag mask; zero means out of bag.  Samples never left out of bag are
-    skipped; exact predictions count as zero error even at y == 0.
+    oob_preds yields each tree's predictions in turn, NaN at the rows its
+    bootstrap drew; running sums keep memory at O(rows).  Rows no tree has left
+    out yet are skipped; exact predictions count as zero error even at y == 0.
     """
-    n = y.size
-    sum_pred = np.zeros(n)
-    cnt = np.zeros(n, dtype=np.int64)
-    lo = np.full(n, np.inf)
-    hi = np.full(n, -np.inf)
-    curve = np.empty(len(trees))
-    for m, (tree, inbag) in enumerate(zip(trees, inbag_counts)):
-        oob = inbag == 0
-        if oob.any():
-            p = tree.predict_batch(X[oob])
-            sum_pred[oob] += p
-            cnt[oob] += 1
-            lo[oob] = np.minimum(lo[oob], p)
-            hi[oob] = np.maximum(hi[oob], p)
+    sum_pred, cnt = np.zeros(y.size), np.zeros(y.size, dtype=np.int64)
+    lo, hi = np.full(y.size, np.inf), np.full(y.size, -np.inf)
+    curve = []
+    for p in oob_preds:
+        oob = ~np.isnan(p)
+        np.add(sum_pred, p, out=sum_pred, where=oob)
+        cnt += oob
+        np.fmin(lo, p, out=lo)
+        np.fmax(hi, p, out=hi)
         covered = cnt > 0
-        if not covered.any():
-            curve[m] = np.nan
-            continue
-        pred = np.where(
-            lo[covered] == hi[covered], lo[covered], sum_pred[covered] / cnt[covered]
-        )
-        truth = y[covered]
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.abs(pred - truth) / np.abs(truth)
-        rel = np.where(pred == truth, 0.0, rel)
-        curve[m] = float(np.mean(rel))
-    return curve
+            pred = np.where(lo == hi, lo, sum_pred / cnt)[covered]
+            truth = y[covered]
+            rel = np.where(pred == truth, 0.0, np.abs(pred - truth) / np.abs(truth))
+        curve.append(rel.mean() if rel.size else np.nan)
+    return np.array(curve)
 
 
 def _fit_one_tree(Xc, ranks, yc, config, target_index, tree_index):
+    """One tree and its predictions at the rows its bootstrap left out (NaN elsewhere)."""
     n = yc.size
     rng = np.random.default_rng([config.rng_seed, target_index, tree_index])
     if config.bootstrap == "identity":
@@ -384,8 +376,10 @@ def _fit_one_tree(Xc, ranks, yc, config, target_index, tree_index):
     # the distinct rows come out in row order, so the gathers walk memory forward
     rows = np.flatnonzero(drawn)
     tree = _grow_by_level(Xc, ranks, yc, rows, drawn[rows], config, rng)
-    # oob_curve needs only which rows were drawn; a bool mask is 8x smaller than counts
-    return tree, drawn > 0
+    oob_pred = np.full(n, np.nan)
+    out = drawn == 0
+    oob_pred[out] = tree.predict_batch(Xc[out])
+    return tree, oob_pred
 
 
 _job_inputs = None  # (Xc, ranks, Yc, config) of a forked tree worker; never set in the caller
@@ -409,7 +403,8 @@ def fit_forest(X, Y, config, target_names=None, threads=1):
     worker processes.  The grower holds the interpreter lock for most of a
     tree, so threads would not overlap.  The workers are forked, so they
     inherit the canonical training arrays instead of receiving a pickled
-    copy, and only the trees and in-bag masks come back.
+    copy.  Each sends back its tree and the tree's predictions at the rows
+    its bootstrap left out (NaN at the rest), which oob_curve then averages.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -436,17 +431,23 @@ def fit_forest(X, Y, config, target_names=None, threads=1):
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                  initializer=_share_job_inputs,
                                  initargs=(Xc, ranks, Yc, config)) as pool:
-            results = list(pool.map(_fit_job, jobs))
-    else:
-        results = [_fit_one_tree(Xc, ranks, Yc[t], config, t, i) for t, i in jobs]
-    forests = []
-    curves = []
-    for t in range(Y.shape[1]):
-        chunk = results[t * config.n_trees : (t + 1) * config.n_trees]
-        trees = [tree for tree, _ in chunk]
-        forests.append(trees)
-        curves.append(oob_curve(trees, [inbag for _, inbag in chunk], Xc, Yc[t]))
-    return RandomForestModel(config, list(target_names), forests, None, curves)
+            return _assemble(pool.map(_fit_job, jobs), Yc, config, target_names)
+    return _assemble((_fit_one_tree(Xc, ranks, Yc[t], config, t, i) for t, i in jobs),
+                     Yc, config, target_names)
+
+
+def _assemble(results, Yc, config, target_names):
+    """The model from (tree, OOB predictions) results in job order; oob_curve takes
+    each target's predictions as they arrive, so the parent holds one at a time."""
+    forests = [[] for _ in Yc]
+
+    def oob_preds(trees):
+        for tree, oob_pred in itertools.islice(results, config.n_trees):
+            trees.append(tree)
+            yield oob_pred
+
+    curves = [oob_curve(oob_preds(trees), yc) for trees, yc in zip(forests, Yc)]
+    return RandomForestModel(config, list(target_names), forests, curves)
 
 
 def slice_forest(model, n_trees):
@@ -461,7 +462,6 @@ def slice_forest(model, n_trees):
         replace(model.config, n_trees=n_trees),
         list(model.target_names),
         [trees[:n_trees] for trees in model.forests],
-        None,
         [None if c is None else c[:n_trees] for c in model.oob_curves],
         feature_meta=model.feature_meta,
         dataset_fingerprint=model.dataset_fingerprint,

@@ -62,15 +62,27 @@ def test_benchmark_name_resolves(module, attribute):
         pytest.fail(f"perfbench uses {module}:{attribute}, which the program lacks: {e}")
 
 
-def test_simulated_and_trained_objects_keep_the_attributes_the_benchmark_reads():
+def test_simulated_and_trained_objects_keep_the_attributes_the_benchmark_reads(tmp_path):
+    from mrsquant import fileio
     from mrsquant.basis import default_brain_basis
-    from mrsquant.forest import RandomForestModel
+    from mrsquant.dataset import dataset_from_labeled
+    from mrsquant.forest import ForestConfig, slice_forest
+    from mrsquant.pipeline import train_model
     from mrsquant.signal import AcquisitionParams
-    from mrsquant.simulate import SimulationConfig, simulate_spectrum
+    from mrsquant.simulate import SimulationConfig, simulate_dataset, simulate_spectrum
 
     basis = default_brain_basis(AcquisitionParams(2500.0, 64))
     config = SimulationConfig(basis=basis, n_spectra=2, rng_seed=1, snr_range=(math.inf, math.inf))
     one = simulate_spectrum(config, 1)
     assert one.spectrum.values.shape == (64,)
     assert set(one.labels) == set(config.target_names)
-    assert "inbag_counts" in RandomForestModel.__dataclass_fields__
+
+    # perfbench/layers.py:model_stats reads `model.inbag_counts or []`
+    config = SimulationConfig(basis=default_brain_basis(AcquisitionParams(2500.0, 256)),
+                              n_spectra=20, rng_seed=3)
+    dataset = dataset_from_labeled(simulate_dataset(config), fileio.sim_config_to_dict(config),
+                                   config.target_names)
+    trained = train_model(dataset, ForestConfig(n_trees=2, max_features=4, rng_seed=1))
+    fileio.write_model(tmp_path / "model.json", trained)
+    for model in (trained, slice_forest(trained, 1), fileio.read_model(tmp_path / "model.json")):
+        assert model.inbag_counts is None

@@ -361,6 +361,29 @@ class TestOobScan:
         assert len(rows) == 2 * 2 * 3  # feature settings x targets x tree counts
         assert {r["max_features"] for r in rows} == {"4", "16"}
 
+    def test_default_features_fit_the_default_grid(self, tmp_path):
+        data = tmp_path / "data.json"
+        assert main(["simulate", "--seed", "5", "--n-spectra", "20", "--output", str(data)]) == 0
+        out = tmp_path / "oob.csv"
+        assert main(["oob-scan", "--dataset", str(data), "--seed", "2", "--trees", "2",
+                     "--output", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert {r["max_features"] for r in rows} == {"1", "4", "16", "64", "128"}
+
+    def test_oversize_feature_value_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
+        from mrsquant import cli
+
+        data = simulate(tmp_path, n=25)
+        calls = []
+        monkeypatch.setattr(cli, "fit_forest", lambda *a, **k: calls.append(a))
+        out = tmp_path / "oob.csv"
+        assert main(["oob-scan", "--dataset", str(data), "--seed", "2", "--trees", "3",
+                     "--features", "4,999", "--output", str(out)]) == 2
+        assert "999" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
 
 class TestThreads:
     def test_flag_alone_sets_the_count(self, monkeypatch):

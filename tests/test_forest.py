@@ -356,28 +356,40 @@ class TestFitForest:
         y1 = np.cos(X[:, 3]) + X[:, 4]
         config = ForestConfig(n_trees=4, max_features=3, min_leaf_size=3, rng_seed=21)
         both = fit_forest(X, np.column_stack([y0, y1]), config, target_names=["a", "b"])
-        only_b = RandomForestModel(
-            config, ["b"], [both.forests[1]], None, [both.oob_curves[1]]
-        )
-        assert both.inbag_counts is None
+        only_b = RandomForestModel(config, ["b"], [both.forests[1]], [both.oob_curves[1]])
         probe = np.random.default_rng(8).normal(size=(20, X.shape[1]))
         assert np.array_equal(both.predict_matrix(probe)[:, 1], only_b.predict_matrix(probe)[:, 0])
+
+    @staticmethod
+    def _digest_fixture():
+        rng = np.random.default_rng(31)
+        X = np.round(rng.normal(size=(300, 12)), 2)
+        Y = np.column_stack([X[:, 0] + np.sin(X[:, 1]), X[:, 2] * X[:, 3]])
+        Y += 0.1 * rng.normal(size=Y.shape)
+        return X, Y, ForestConfig(n_trees=4, max_features=5, min_leaf_size=3, rng_seed=9)
 
     def test_model_bytes_match_recorded_digest(self):
         # Recorded with trees grown on distinct bootstrap rows weighted by
         # multiplicity, with numpy 2.4 on x86-64.  Any change to the trees a
         # fixed training gives fails here, not only in a benchmark median.
-        rng = np.random.default_rng(31)
-        X = np.round(rng.normal(size=(300, 12)), 2)
-        Y = np.column_stack([X[:, 0] + np.sin(X[:, 1]), X[:, 2] * X[:, 3]])
-        Y += 0.1 * rng.normal(size=Y.shape)
-        model = fit_forest(X, Y, ForestConfig(n_trees=4, max_features=5, min_leaf_size=3, rng_seed=9))
+        model = fit_forest(*self._digest_fixture())
         digest = hashlib.sha256()
         for trees in model.forests:
             for tree in trees:
                 for field in (tree.feature, tree.threshold, tree.left, tree.right, tree.value):
                     digest.update(field.tobytes())
         assert digest.hexdigest() == "54ec13984c68939ac3b45304c48a27425f54c1e6a037bf497405786a6a079dbb"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_oob_curves_match_recorded_digest(self, threads):
+        # Recorded when the main process walked every tree over its out-of-bag
+        # rows after training; the curves must not move by a bit, whichever
+        # process makes the predictions.
+        model = fit_forest(*self._digest_fixture(), threads=threads)
+        digest = hashlib.sha256()
+        for curve in model.oob_curves:
+            digest.update(curve.tobytes())
+        assert digest.hexdigest() == "8fd50f6904abe3a3bf30e1296e3512952494c7cf8dd11656e9cf5793d645ffcd"
 
     def test_slice_matches_direct_training(self):
         X, y = self._data(n=60)
@@ -465,12 +477,11 @@ class TestOob:
         assert np.all(curve[~np.isnan(curve)] >= 0)
 
     def test_exact_predictions_count_as_zero_error_at_zero_truth(self):
-        class StubTree:
-            def predict_batch(self, X):
-                return np.zeros(X.shape[0])
-
-        X = np.zeros((4, 1))
-        y = np.zeros(4)
-        inbag = np.zeros((1, 4), dtype=int)
-        curve = oob_curve([StubTree()], inbag, X, y)
-        assert curve[0] == 0.0
+        assert oob_curve([np.zeros(4)], np.zeros(4))[0] == 0.0
+        # Row 2 is in bag for every tree and stays out of the mean; row 1 is
+        # first left out by the second tree and counts from there on.
+        nan = np.nan
+        y = np.array([1.0, 2.0, 4.0])
+        preds = [np.array([1.5, nan, nan]), np.array([0.5, 3.0, nan]), np.array([nan, 2.0, nan])]
+        assert oob_curve(preds, y).tolist() == [0.5, 0.25, 0.125]
+        assert np.isnan(oob_curve([np.full(3, nan)], y)).all()
