@@ -79,6 +79,42 @@ class BasisSet:
         raise UnknownMetaboliteError(f"unknown metabolite {name!r}; basis has {self.names}")
 
 
+def basis_to_dict(basis):
+    """The metabolite lines of a basis as the JSON mapping basis files and configs embed."""
+    return {
+        "metabolites": [
+            {
+                "name": m.name,
+                "components": [
+                    {
+                        "shift_ppm": c.chemical_shift,
+                        "amplitude": c.amplitude,
+                        "t2_s": c.t2,
+                        "phase0_rad": c.phase0,
+                    }
+                    for c in m.components
+                ],
+            }
+            for m in basis.metabolites
+        ],
+    }
+
+
+def basis_from_dict(d, params, reference_ppm):
+    """BasisSet from a basis_to_dict mapping, rendered at params and reference_ppm."""
+    metabolites = tuple(
+        MetaboliteBasis(
+            m["name"],
+            tuple(
+                LorentzianComponent(c["shift_ppm"], c["amplitude"], c["t2_s"], c.get("phase0_rad", 0.0))
+                for c in m["components"]
+            ),
+        )
+        for m in d["metabolites"]
+    )
+    return BasisSet(metabolites, params, reference_ppm)
+
+
 def linear_combination(basis, concentrations, t2_scale=1.0):
     """Spectrum summing every metabolite at its concentration, all T2s scaled by t2_scale."""
     for name, conc in concentrations.items():

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import fileio
+from .basis import basis_to_dict
 from .dataset import config_fingerprint, dataset_from_labeled
 from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
 from .evaluate import ExperimentSpec, run_experiment
@@ -49,7 +50,7 @@ def _sim_config(args, file_cfg):
         basis = fileio.read_basis(args.basis)
         cfg["acquisition"] = fileio.acquisition_to_dict(basis.params)
         cfg["reference_ppm"] = basis.reference_ppm
-        cfg["basis"] = fileio.basis_to_dict(basis)
+        cfg["basis"] = basis_to_dict(basis)
     return fileio.sim_config_from_dict(cfg)
 
 
@@ -128,12 +129,11 @@ def _experiment(doc):
         preprocess=doc.get("preprocess"),
     )
     given = doc.get("datasets", {})
-    paths = {role: os.fspath(given[role]) for role in ("train", "test", "data") if role in given}
-    needed = {"real-real-spectra": ("data",)}.get(spec.name, ("train", "test"))
+    needed = ("data",) if spec.name == "real-real-spectra" else ("train", "test")
     for role in needed:
-        if role not in paths:
+        if role not in given:
             raise ValidationError(f"experiment {spec.name} needs datasets.{role} in the config")
-    return spec, paths, config_fingerprint(doc)
+    return spec, {role: os.fspath(given[role]) for role in needed}, config_fingerprint(doc)
 
 
 def cmd_evaluate(args):

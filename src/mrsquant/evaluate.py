@@ -6,12 +6,11 @@ by order statistics of those errors plus the Pearson correlation between
 estimates and truths ("pearson_r" in reports).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import UndefinedResultError, ValidationError
-from .fileio import forest_config_to_dict
 from .pipeline import basis_for_dataset, oracle_ratios, predict_dataset, train_model
 
 EXPERIMENT_NAMES = (
@@ -139,45 +138,80 @@ class EvalReport:
     inputs: dict
     notes: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "format": "mrsquant-report",
-            "format_version": 1,
-            "experiment": self.experiment,
-            "truth_source": self.truth_source,
-            "target_names": self.target_names,
-            "summary": self.summary,
-            "per_sample": self.per_sample,
-            "inputs": self.inputs,
-            "notes": self.notes,
-        }
+
+def run_experiment(spec, datasets, threads=1):
+    """Train, predict, and score one of the four experiment designs.
+
+    datasets maps roles to Dataset objects: "train"/"test" for the
+    train-test designs, "data" for the k-fold design.  synthetic-synthetic
+    scores the forest and the oracle fit against the test labels; the other
+    designs score the forest against the oracle fit, leaving out the
+    spectra the oracle cannot fit.
+    """
+    notes = {}
+    if spec.name == "real-real-spectra":
+        data = datasets["data"]
+        targets = _real_targets(data)
+        truth, ok = _oracle(data, targets, spec, notes, "oracle_failures")
+        usable = np.nonzero(ok)[0]
+        if usable.size < spec.k_folds:
+            raise ValidationError("not enough usable spectra for the requested fold count")
+        forest_est = np.empty((usable.size, len(targets)))
+        for fold in kfold_split(usable.size, spec.k_folds, spec.seed):
+            train_idx = np.delete(usable, fold)
+            model = train_model(data.take(train_idx), spec.forest, labels=truth[train_idx],
+                                target_names=targets, threads=threads)
+            forest_est[fold] = predict_dataset(model, data.take(usable[fold]),
+                                               allow_resample=spec.allow_resample)
+        return _report(spec, targets, truth[usable], forest_est, None, data, data, notes)
+
+    train, test = datasets["train"], datasets["test"]
+    if spec.name == "synthetic-synthetic":
+        if train.labels is None or test.labels is None:
+            raise ValidationError("synthetic experiments need labels in both datasets")
+        targets = list(train.target_names)
+        train_y, truth, keep = _label_columns(train, targets), _label_columns(test, targets), slice(None)
+        oracle = _oracle(test, targets, spec, notes, "oracle_failures")
+    else:
+        targets = _real_targets(train)
+        train_y, train_ok = _oracle(train, targets, spec, notes, "train_oracle_failures")
+        train, train_y = train.take(np.nonzero(train_ok)[0]), train_y[train_ok]
+        truth, keep = _oracle(test, targets, spec, notes, "test_oracle_failures")
+        truth, oracle = truth[keep], None
+    model = train_model(train, spec.forest, labels=train_y, target_names=targets, threads=threads)
+    forest_est = predict_dataset(model, test, allow_resample=spec.allow_resample)[keep]
+    return _report(spec, targets, truth, forest_est, oracle, train, test, notes)
 
 
-def _assemble_report(spec, targets, truth, forest_est, oracle_est, oracle_ok, truth_source, inputs, notes):
+def _oracle(dataset, targets, spec, notes, key):
+    """oracle_ratios of dataset; the number of spectra it cannot fit goes into notes[key]."""
+    est, ok = oracle_ratios(dataset, targets, spec.baseline_degree)
+    if not ok.all():
+        notes[key] = int((~ok).sum())
+    return est, ok
+
+
+def _report(spec, targets, truth, forest_est, oracle, train, test, notes):
+    """EvalReport scoring forest_est, and the oracle's (estimates, ok) when given, against truth."""
     summary = {}
     per_sample = {}
     for t, name in enumerate(targets):
-        block = {"forest": summarize_errors(forest_est[:, t], truth[:, t])}
-        entry = {
+        summary[name] = {"forest": summarize_errors(forest_est[:, t], truth[:, t]), "oracle": None}
+        per_sample[name] = {
             "truth": truth[:, t].tolist(),
             "forest_estimate": forest_est[:, t].tolist(),
             "forest_error": relative_errors(forest_est[:, t], truth[:, t]).tolist(),
+            "oracle_estimate": None,
+            "oracle_error": None,
         }
-        if oracle_est is not None:
-            if oracle_ok.any():
-                block["oracle"] = summarize_errors(oracle_est[oracle_ok, t], truth[oracle_ok, t])
-            else:
-                block["oracle"] = None
-            o_err = np.full(truth.shape[0], np.nan)
-            o_err[oracle_ok] = relative_errors(oracle_est[oracle_ok, t], truth[oracle_ok, t])
-            entry["oracle_estimate"] = oracle_est[:, t].tolist()
-            entry["oracle_error"] = o_err.tolist()
-        else:
-            block["oracle"] = None
-            entry["oracle_estimate"] = None
-            entry["oracle_error"] = None
-        summary[name] = block
-        per_sample[name] = entry
+        if oracle is not None:
+            est, ok = oracle
+            if ok.any():
+                summary[name]["oracle"] = summarize_errors(est[ok, t], truth[ok, t])
+            err = np.full(truth.shape[0], np.nan)
+            err[ok] = relative_errors(est[ok, t], truth[ok, t])
+            per_sample[name]["oracle_estimate"] = est[:, t].tolist()
+            per_sample[name]["oracle_error"] = err.tolist()
     return EvalReport(
         experiment={
             "name": spec.name,
@@ -186,30 +220,18 @@ def _assemble_report(spec, targets, truth, forest_est, oracle_est, oracle_ok, tr
             "baseline_degree": spec.baseline_degree,
             "preprocess": spec.allow_resample,
         },
-        truth_source=truth_source,
+        truth_source="simulation_labels" if spec.name == "synthetic-synthetic" else "oracle_fit",
         target_names=list(targets),
         summary=summary,
         per_sample=per_sample,
-        inputs=inputs,
+        inputs={
+            "train_dataset_fingerprint": train.fingerprint,
+            "test_dataset_fingerprint": test.fingerprint,
+            "forest_config": asdict(spec.forest),
+            "oracle": {"baseline_degree": spec.baseline_degree},
+        },
         notes=notes,
     )
-
-
-def run_experiment(spec, datasets, threads=1):
-    """Train, predict, and score one of the four experiment designs.
-
-    datasets maps roles to Dataset objects: "train"/"test" for the
-    train-test designs, "data" for the k-fold design.
-    """
-    if spec.name == "synthetic-synthetic":
-        return _run_train_test(spec, datasets["train"], datasets["test"],
-                               truth_source="simulation_labels", threads=threads)
-    if spec.name == "real-real-spectra":
-        return _run_kfold(spec, datasets["data"], threads=threads)
-    if spec.name in ("real-real-images", "synthetic-real-images"):
-        return _run_train_test(spec, datasets["train"], datasets["test"],
-                               truth_source="oracle_fit", threads=threads)
-    raise ValidationError(f"unknown experiment {spec.name!r}")
 
 
 def _label_columns(dataset, targets):
@@ -218,80 +240,6 @@ def _label_columns(dataset, targets):
     except ValueError as e:
         raise ValidationError(f"dataset lacks a required target: {e}") from e
     return dataset.labels[:, cols]
-
-
-def _run_train_test(spec, train, test, truth_source, threads):
-    notes = {}
-    if truth_source == "simulation_labels":
-        if train.labels is None or test.labels is None:
-            raise ValidationError("synthetic experiments need labels in both datasets")
-        targets = list(train.target_names)
-        train_ds, train_y = train, _label_columns(train, targets)
-        truth = _label_columns(test, targets)
-        keep = np.ones(test.n_spectra, dtype=bool)
-    else:
-        targets = _real_targets(train)
-        train_y_all, train_ok = oracle_ratios(train, targets, spec.baseline_degree)
-        if not train_ok.all():
-            notes["train_oracle_failures"] = int((~train_ok).sum())
-        train_ds = train.take(np.nonzero(train_ok)[0])
-        train_y = train_y_all[train_ok]
-        truth, keep = oracle_ratios(test, targets, spec.baseline_degree)
-        if not keep.all():
-            notes["test_oracle_failures"] = int((~keep).sum())
-        truth = truth[keep]
-
-    model = train_model(train_ds, spec.forest, labels=train_y, target_names=targets, threads=threads)
-    forest_est = predict_dataset(model, test, allow_resample=spec.allow_resample)[keep]
-
-    oracle_est = oracle_ok = None
-    if truth_source == "simulation_labels":
-        oracle_est, oracle_ok = oracle_ratios(test, targets, spec.baseline_degree)
-        if not oracle_ok.all():
-            notes["oracle_failures"] = int((~oracle_ok).sum())
-    inputs = {
-        "train_dataset_fingerprint": train.fingerprint,
-        "test_dataset_fingerprint": test.fingerprint,
-        "forest_config": forest_config_to_dict(spec.forest),
-        "oracle": {"baseline_degree": spec.baseline_degree},
-    }
-    return _assemble_report(spec, targets, truth, forest_est, oracle_est, oracle_ok,
-                            truth_source, inputs, notes)
-
-
-def _run_kfold(spec, data, threads):
-    targets = _real_targets(data)
-    truth_all, ok = oracle_ratios(data, targets, spec.baseline_degree)
-    notes = {}
-    if not ok.all():
-        notes["oracle_failures"] = int((~ok).sum())
-    usable = np.nonzero(ok)[0]
-    if usable.size < spec.k_folds:
-        raise ValidationError("not enough usable spectra for the requested fold count")
-    folds = kfold_split(usable.size, spec.k_folds, spec.seed)
-    forest_est = np.full((data.n_spectra, len(targets)), np.nan)
-    for fold in folds:
-        test_idx = usable[fold]
-        train_mask = np.ones(usable.size, dtype=bool)
-        train_mask[fold] = False
-        train_idx = usable[train_mask]
-        model = train_model(
-            data.take(train_idx),
-            spec.forest,
-            labels=truth_all[train_idx],
-            target_names=targets,
-            threads=threads,
-        )
-        forest_est[test_idx] = predict_dataset(model, data.take(test_idx),
-                                               allow_resample=spec.allow_resample)
-    inputs = {
-        "train_dataset_fingerprint": data.fingerprint,
-        "test_dataset_fingerprint": data.fingerprint,
-        "forest_config": forest_config_to_dict(spec.forest),
-        "oracle": {"baseline_degree": spec.baseline_degree},
-    }
-    return _assemble_report(spec, targets, truth_all[usable], forest_est[usable], None, None,
-                            "oracle_fit", inputs, notes)
 
 
 def _real_targets(dataset):

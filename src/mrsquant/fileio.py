@@ -14,12 +14,13 @@ import json
 
 import numpy as np
 
-from .basis import BasisSet, MetaboliteBasis, default_brain_basis
+from .basis import basis_from_dict, basis_to_dict, default_brain_basis
 from .dataset import Dataset, config_fingerprint
 from .errors import FileFormatError, UnsupportedVersionError, ValidationError
+from .evaluate import EvalReport
 from .forest import ForestConfig, RandomForestModel, RegressionTree
 from .pipeline import FEATURE_KIND, FeatureMeta, basis_for_dataset
-from .signal import AcquisitionParams, LorentzianComponent
+from .signal import AcquisitionParams
 from .simulate import SNR_DEFINITION, SimulationConfig
 
 FORMAT_VERSION = 1
@@ -95,40 +96,6 @@ def acquisition_from_dict(d):
 
 
 # ---------------------------------------------------------------- basis sets
-
-def basis_to_dict(basis):
-    return {
-        "metabolites": [
-            {
-                "name": m.name,
-                "components": [
-                    {
-                        "shift_ppm": c.chemical_shift,
-                        "amplitude": c.amplitude,
-                        "t2_s": c.t2,
-                        "phase0_rad": c.phase0,
-                    }
-                    for c in m.components
-                ],
-            }
-            for m in basis.metabolites
-        ],
-    }
-
-
-def basis_from_dict(d, params, reference_ppm):
-    metabolites = tuple(
-        MetaboliteBasis(
-            m["name"],
-            tuple(
-                LorentzianComponent(c["shift_ppm"], c["amplitude"], c["t2_s"], c.get("phase0_rad", 0.0))
-                for c in m["components"]
-            ),
-        )
-        for m in d["metabolites"]
-    )
-    return BasisSet(metabolites, params, reference_ppm)
-
 
 def write_basis(path, basis):
     doc = {
@@ -282,10 +249,6 @@ def _tree_from_dict(path, target, index, d):
         raise FileFormatError(f"{path}: tree {index} of target {target!r}: {e}") from e
 
 
-def forest_config_to_dict(config):
-    return dataclasses.asdict(config)
-
-
 def forest_config_from_dict(d):
     return ForestConfig(
         n_trees=d["n_trees"],
@@ -301,7 +264,7 @@ def model_fingerprint(model):
     return config_fingerprint(
         {
             "dataset_fingerprint": model.dataset_fingerprint,
-            "forest_config": forest_config_to_dict(model.config),
+            "forest_config": dataclasses.asdict(model.config),
         }
     )
 
@@ -315,7 +278,7 @@ def write_model(path, model):
         "format_version": FORMAT_VERSION,
         "fingerprint": model_fingerprint(model),
         "dataset_fingerprint": model.dataset_fingerprint,
-        "config": forest_config_to_dict(model.config),
+        "config": dataclasses.asdict(model.config),
         "target_names": list(model.target_names),
         "feature": {
             "kind": meta.kind,
@@ -384,14 +347,13 @@ def read_model(path):
 # ---------------------------------------------------------------- reports
 
 def write_report(path, report):
+    doc = {"format": "mrsquant-report", "format_version": FORMAT_VERSION, **dataclasses.asdict(report)}
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=1)
+        json.dump(doc, f, indent=1)
         f.write("\n")
 
 
 def read_report(path):
-    from .evaluate import EvalReport
-
     def build(data):
         return EvalReport(
             experiment=data["experiment"],
@@ -410,7 +372,7 @@ def read_report(path):
 
 def write_samples_csv(path, report):
     """Per-sample truth/estimate/error rows for regression and boxplot rendering."""
-    fingerprint = config_fingerprint(report.to_dict()["inputs"])
+    fingerprint = config_fingerprint(report.inputs)
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["target", "sample_index", "estimator", "truth", "estimate",

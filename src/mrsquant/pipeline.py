@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import default_brain_basis
+from .basis import basis_from_dict, default_brain_basis
 from .errors import GridCompatibilityError, ValidationError
 from .forest import fit_forest
 from .lsqfit import lsq_fit_batch
@@ -65,8 +65,7 @@ def features_for_dataset(meta, dataset, allow_resample=False):
     return cr_normalize(raw, meta.grid)
 
 
-def train_model(dataset, forest_config, labels=None, target_names=None, threads=1,
-                hi=CROP_HI_PPM, lo=CROP_LO_PPM):
+def train_model(dataset, forest_config, labels=None, target_names=None, threads=1):
     """Fit per-target forests on a dataset's feature representation."""
     if labels is None:
         labels = dataset.labels
@@ -78,7 +77,7 @@ def train_model(dataset, forest_config, labels=None, target_names=None, threads=
         labels = labels[:, None]
     if labels.shape[0] != dataset.n_spectra:
         raise ValidationError("label rows must match the number of spectra")
-    meta, X = build_feature_space(dataset, hi, lo)
+    meta, X = build_feature_space(dataset)
     model = fit_forest(X, labels, forest_config, target_names=target_names, threads=threads)
     model.feature_meta = meta
     model.dataset_fingerprint = dataset.fingerprint
@@ -93,25 +92,20 @@ def predict_dataset(model, dataset, allow_resample=False):
     return model.predict_matrix(X)
 
 
-def basis_for_dataset(dataset, basis=None):
+def basis_for_dataset(dataset):
     """Basis rendered at the dataset's own acquisition, for oracle fitting."""
-    if basis is not None:
-        return basis
-    from .fileio import basis_from_dict
-
     if dataset.config and "basis" in dataset.config:
         return basis_from_dict(dataset.config["basis"], dataset.params, dataset.reference_ppm)
     return default_brain_basis(dataset.params, dataset.reference_ppm)
 
 
-def oracle_ratios(dataset, target_names, baseline_degree=4, basis=None,
-                  hi=CROP_HI_PPM, lo=CROP_LO_PPM):
+def oracle_ratios(dataset, target_names, baseline_degree=4):
     """Least-squares ratio estimates for every spectrum, on its native grid.
 
     Returns (estimates, ok) where estimates is (n_spectra, n_targets) with
     NaN rows for unusable fits (non-positive Cr) and ok flags the rest.
     """
-    basis = basis_for_dataset(dataset, basis)
+    basis = basis_for_dataset(dataset)
     if "Cr" not in basis.names:
         raise ValidationError("oracle basis has no Cr; Cr ratios are undefined")
     ratio_cols = {f"{name}/Cr": j for j, name in enumerate(basis.names) if name != "Cr"}
@@ -119,7 +113,7 @@ def oracle_ratios(dataset, target_names, baseline_degree=4, basis=None,
     if missing:
         raise ValidationError(f"oracle basis does not produce target {missing[0]!r}")
     cols = [ratio_cols[t] for t in target_names]
-    mask = _window_mask(dataset.ppm_axis, hi, lo)
+    mask = _window_mask(dataset.ppm_axis, CROP_HI_PPM, CROP_LO_PPM)
     conc = lsq_fit_batch(dataset.values[:, mask].real, basis, dataset.ppm_axis[mask],
                          baseline_degree)
     cr = conc[:, basis.names.index("Cr")]

@@ -333,6 +333,28 @@ class TestEvaluate:
         cfg = self._config(tmp_path, datasets={})
         assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 2
 
+    def _rewrite(self, cfg, **fields):
+        doc = json.loads(cfg.read_text())
+        doc.update(fields)
+        cfg.write_text(json.dumps(doc))
+
+    def test_unused_data_role_is_not_read(self, tmp_path):
+        junk = tmp_path / "junk.json"
+        junk.write_text("{}")
+        cfg = self._config(tmp_path)
+        datasets = json.loads(cfg.read_text())["datasets"]
+        self._rewrite(cfg, datasets=dict(datasets, data=str(junk)))
+        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
+        assert fileio.read_report(tmp_path / "r.json").experiment["name"] == "synthetic-synthetic"
+
+    def test_unused_train_role_is_not_read(self, tmp_path):
+        cfg = self._config(tmp_path)
+        data = json.loads(cfg.read_text())["datasets"]["train"]
+        self._rewrite(cfg, experiment="real-real-spectra", k_folds=3,
+                      datasets={"data": data, "train": str(tmp_path / "missing.json")})
+        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
+        assert fileio.read_report(tmp_path / "r.json").experiment["name"] == "real-real-spectra"
+
     def test_degenerate_labels_exit_4(self, tmp_path):
         # constant labels make the Pearson score undefined: numerical-failure exit
         const = {"concentration_ranges": {"NAA": [1.5, 1.5], "Cho": [0.4, 0.4], "Cr": [1.0, 1.0]}}

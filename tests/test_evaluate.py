@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from mrsquant import fileio
 from mrsquant.basis import default_brain_basis
-from mrsquant.dataset import dataset_from_labeled
+from mrsquant.dataset import Dataset, dataset_from_labeled
 from mrsquant.errors import UndefinedResultError, ValidationError
 from mrsquant.evaluate import (
     EXPERIMENT_NAMES,
@@ -244,6 +246,74 @@ class TestExperiments:
 
         with pytest.raises(GridCompatibilityError):
             run_experiment(spec, {"train": train, "test": test})
+
+
+SMALL = AcquisitionParams(spectral_width=2500.0, n_points=256, transmitter_freq=127.7)
+SMALL_MRSI = AcquisitionParams(spectral_width=2000.0, n_points=200, transmitter_freq=127.7)
+
+
+def small_dataset(params, n, seed, fit_fails=()):
+    """Simulated spectra whose rows fit_fails the oracle fits with Cr < 0.
+
+    Those rows are negated and lifted by a constant: the fit's baseline takes
+    the constant, so every concentration changes sign, while the Cr window
+    stays positive and the forest can still read the row.
+    """
+    cfg = SimulationConfig(basis=default_brain_basis(params), n_spectra=n, rng_seed=seed)
+    data = dataset_from_labeled(simulate_dataset(cfg), fileio.sim_config_to_dict(cfg),
+                                cfg.target_names)
+    values = data.values.copy()
+    for i in fit_fails:
+        values[i] = 2.0 * np.max(np.abs(values[i])) - values[i]
+    return Dataset(data.params, data.reference_ppm, data.ppm_axis, values, data.target_names,
+                   data.labels, data.truth_params, data.config, data.fingerprint)
+
+
+# case -> (preprocess, {role: small_dataset arguments}, the notes the report
+# must hold). The design is the case name without "-cross".
+DIGEST_CASES = {
+    "synthetic-synthetic": (None, {"train": (SMALL, 60, 1, ()), "test": (SMALL, 20, 2, (3, 7))},
+                            {"oracle_failures": 2}),
+    "synthetic-synthetic-cross": (True, {"train": (SMALL, 60, 1, ()),
+                                         "test": (SMALL_MRSI, 20, 3, (3, 7))},
+                                  {"oracle_failures": 2}),
+    "real-real-spectra": (None, {"data": (SMALL, 60, 4, (5, 11, 17))}, {"oracle_failures": 3}),
+    "real-real-images": (None, {"train": (SMALL, 60, 5, (0, 1, 2)),
+                                "test": (SMALL_MRSI, 20, 6, (3, 7))},
+                         {"train_oracle_failures": 3, "test_oracle_failures": 2}),
+    "synthetic-real-images": (None, {"train": (SMALL, 60, 7, (0, 1, 2)),
+                                     "test": (SMALL_MRSI, 20, 8, (3, 7))},
+                              {"train_oracle_failures": 3, "test_oracle_failures": 2}),
+}
+
+# SHA-256 of the report JSON and of the samples CSV each case writes.
+REPORT_DIGESTS = {
+    "synthetic-synthetic": ("01856f6dbafacd11b494f18d262b85e14d0df6c959b1328e63196de0137c9c03",
+                           "4f5125b7de91030b90b2cc566aef1bf80bee5d93c89a97ad7340c0af9914fed7"),
+    "synthetic-synthetic-cross": ("f71723cb390ca49880283a122999ad9981039047867c34a9212daf82301dd824",
+                                 "4024f823b6a1fa3b0e7c974455b4142ab6ff64331a14faf0c1cd85231d082a7c"),
+    "real-real-spectra": ("dae0e0fc97ee606223cbd1eaa3fa5fa9061bceb0c3cdf02e45540dfb78ac81a1",
+                         "9537ee30cb8c4e996ac8e5152f8fccb088ac4588b575b823fdb553da4014ecc2"),
+    "real-real-images": ("47092bce371f3581cfc1fbb16820b9b14045cc0d485bca56ef22bd6bd3c10d9b",
+                        "5aaf1e6c71be907d257dad0c50dba0d7e9b34da06b98e74fab61c8aafb12c905"),
+    "synthetic-real-images": ("e1de9587980b5f2a8e0e685382f42bc956a74b490b7c8be068c918a7757e0da6",
+                             "74fa379d4a1736b4238a42671b7b4d54fdb3fce297e50ba2f79a5363c5d0e229"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_reports_match_recorded_digests(case, tmp_path):
+    preprocess, roles, notes = DIGEST_CASES[case]
+    spec = ExperimentSpec(name=case.removesuffix("-cross"), seed=2, k_folds=3, preprocess=preprocess,
+                          forest=ForestConfig(n_trees=4, max_features=16, min_leaf_size=2, rng_seed=9))
+    datasets = {role: small_dataset(*args) for role, args in roles.items()}
+    report = run_experiment(spec, datasets)
+    assert report.notes == notes
+    fileio.write_report(tmp_path / "report.json", report)
+    fileio.write_samples_csv(tmp_path / "samples.csv", report)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("report.json", "samples.csv"))
+    assert digests == REPORT_DIGESTS[case]
 
 
 class TestPipeline:

@@ -244,7 +244,7 @@ class TestReportFile:
         path = tmp_path / "report.json"
         fileio.write_report(path, report)
         loaded = fileio.read_report(path)
-        assert loaded.to_dict() == report.to_dict()
+        assert loaded == report
         rewritten = tmp_path / "again.json"
         fileio.write_report(rewritten, loaded)
         assert rewritten.read_bytes() == path.read_bytes()
