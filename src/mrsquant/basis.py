@@ -166,3 +166,11 @@ def default_brain_basis(params, reference_ppm=DEFAULT_REFERENCE_PPM, t2=DEFAULT_
         for name, lines in _BRAIN_BASIS_LINES.items()
     )
     return BasisSet(metabolites, params, reference_ppm)
+
+
+def basis_from_config(config, params, reference_ppm):
+    """The basis a config's "basis" field holds, or the built-in basis when the field is absent or null."""
+    d = (config or {}).get("basis")
+    if d is None:
+        return default_brain_basis(params, reference_ppm)
+    return basis_from_dict(d, params, reference_ppm)

@@ -117,17 +117,10 @@ def cmd_predict(args):
 
 def _experiment(doc):
     """(ExperimentSpec, {role: dataset path}, config fingerprint) from an evaluate config."""
-    forest = {"n_trees": 100, "max_features": 64, "min_leaf_size": 5, "max_depth": None,
-              "rng_seed": doc["seed"]}
+    forest = {"n_trees": 100, "max_features": 64, "rng_seed": doc["seed"]}
     forest.update(doc.get("forest", {}))
-    spec = ExperimentSpec(
-        name=doc.get("experiment"),
-        forest=fileio.forest_config_from_dict(forest),
-        seed=doc["seed"],
-        k_folds=doc.get("k_folds", 10),
-        baseline_degree=doc.get("baseline_degree", 4),
-        preprocess=doc.get("preprocess"),
-    )
+    optional = {k: doc[k] for k in ("k_folds", "baseline_degree", "preprocess") if k in doc}
+    spec = ExperimentSpec(doc.get("experiment"), ForestConfig(**forest), doc["seed"], **optional)
     given = doc.get("datasets", {})
     needed = ("data",) if spec.name == "real-real-spectra" else ("train", "test")
     for role in needed:

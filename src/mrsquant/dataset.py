@@ -3,9 +3,11 @@
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .basis import basis_from_config
 from .errors import ValidationError
 from .signal import AcquisitionParams
 
@@ -42,6 +44,11 @@ class Dataset:
                     f"labels shape {self.labels.shape} must be (n_spectra, n_targets)="
                     f"({self.values.shape[0]}, {len(self.target_names)})"
                 )
+
+    @cached_property
+    def basis(self):
+        """The basis the embedded config names (the built-in one when it names none), at this acquisition."""
+        return basis_from_config(self.config, self.params, self.reference_ppm)
 
     @property
     def n_spectra(self):

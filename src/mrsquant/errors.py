@@ -32,3 +32,15 @@ class GridCompatibilityError(MrsQuantError):
 
 class UndefinedResultError(MrsQuantError):
     """A numerical result is undefined for the given inputs (e.g. ratio over a non-positive Cr fit)."""
+
+
+def integer(name, value, low):
+    """int(value) when value is an integer >= low; an integer-valued float such as 3.0 counts.
+
+    A bool, a fraction or a smaller value raises ValidationError naming the
+    field; a value int() cannot take (None, a string, NaN, inf) raises int()'s
+    own TypeError, ValueError or OverflowError.
+    """
+    if isinstance(value, bool) or int(value) != value or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import UndefinedResultError, ValidationError
-from .pipeline import basis_for_dataset, oracle_ratios, predict_dataset, train_model
+from .errors import UndefinedResultError, ValidationError, integer
+from .pipeline import oracle_ratios, predict_dataset, train_model
 
 EXPERIMENT_NAMES = (
     "synthetic-synthetic",
@@ -69,8 +69,7 @@ def boxplot_stats(errors):
 
 def kfold_split(n, k, seed):
     """Random partition into k folds with sizes differing by at most one."""
-    if int(k) != k or int(n) != n:
-        raise ValidationError("n and k must be integers")
+    n, k, seed = integer("n", n, 0), integer("k", k, 0), integer("seed", seed, 0)
     if not 2 <= k <= n:
         raise ValidationError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
@@ -115,9 +114,7 @@ class ExperimentSpec:
                 f"unknown experiment {self.name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
             )
         for name, low in (("seed", 0), ("k_folds", 2), ("baseline_degree", 0)):
-            v = getattr(self, name)
-            if int(v) != v or v < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+            object.__setattr__(self, name, integer(name, getattr(self, name), low))
         if self.preprocess not in (None, True, False):
             raise ValidationError(f"preprocess must be true, false or null, got {self.preprocess!r}")
 
@@ -170,16 +167,17 @@ def run_experiment(spec, datasets, threads=1):
         if train.labels is None or test.labels is None:
             raise ValidationError("synthetic experiments need labels in both datasets")
         targets = list(train.target_names)
-        train_y, truth, keep = _label_columns(train, targets), _label_columns(test, targets), slice(None)
+        train_y, truth = _label_columns(train, targets), _label_columns(test, targets)
         oracle = _oracle(test, targets, spec, notes, "oracle_failures")
     else:
         targets = _real_targets(train)
         train_y, train_ok = _oracle(train, targets, spec, notes, "train_oracle_failures")
         train, train_y = train.take(np.nonzero(train_ok)[0]), train_y[train_ok]
         truth, keep = _oracle(test, targets, spec, notes, "test_oracle_failures")
-        truth, oracle = truth[keep], None
+        # spectra the oracle refused are not scored, so they are not predicted either
+        test, truth, oracle = test.take(np.flatnonzero(keep)), truth[keep], None
     model = train_model(train, spec.forest, labels=train_y, target_names=targets, threads=threads)
-    forest_est = predict_dataset(model, test, allow_resample=spec.allow_resample)[keep]
+    forest_est = predict_dataset(model, test, allow_resample=spec.allow_resample)
     return _report(spec, targets, truth, forest_est, oracle, train, test, notes)
 
 
@@ -246,4 +244,4 @@ def _real_targets(dataset):
     # Ratio targets for oracle-labeled runs: every basis metabolite except Cr.
     if dataset.target_names:
         return list(dataset.target_names)
-    return [f"{n}/Cr" for n in basis_for_dataset(dataset).names if n != "Cr"]
+    return [f"{n}/Cr" for n in dataset.basis.names if n != "Cr"]

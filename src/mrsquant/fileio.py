@@ -14,12 +14,12 @@ import json
 
 import numpy as np
 
-from .basis import basis_from_dict, basis_to_dict, default_brain_basis
+from .basis import basis_from_config, basis_from_dict, basis_to_dict
 from .dataset import Dataset, config_fingerprint
 from .errors import FileFormatError, UnsupportedVersionError, ValidationError
 from .evaluate import EvalReport
 from .forest import ForestConfig, RandomForestModel, RegressionTree
-from .pipeline import FEATURE_KIND, FeatureMeta, basis_for_dataset
+from .pipeline import FEATURE_KIND, FeatureMeta
 from .signal import AcquisitionParams
 from .simulate import SNR_DEFINITION, SimulationConfig
 
@@ -143,12 +143,7 @@ _RANGE_FIELDS = ("concentration_ranges", "t2_scale_range", "snr_range",
 
 def sim_config_from_dict(d):
     """SimulationConfig from a config mapping; absent or null basis and ranges take the defaults."""
-    params = acquisition_from_dict(d["acquisition"])
-    reference_ppm = d["reference_ppm"]
-    if d.get("basis") is not None:
-        basis = basis_from_dict(d["basis"], params, reference_ppm)
-    else:
-        basis = default_brain_basis(params, reference_ppm)
+    basis = basis_from_config(d, acquisition_from_dict(d["acquisition"]), d["reference_ppm"])
     ranges = {k: d[k] for k in _RANGE_FIELDS if d.get(k) is not None}
     return SimulationConfig(basis=basis, n_spectra=d["n_spectra"], rng_seed=d["rng_seed"], **ranges)
 
@@ -224,7 +219,7 @@ def read_dataset(path):
             config=data.get("config"),
             fingerprint=data.get("fingerprint"),
         )
-        basis_for_dataset(dataset)  # an embedded basis the oracle cannot build is refused here
+        dataset.basis  # an embedded basis the oracle cannot build is refused here
         return dataset
 
     return load_json(path, build, "mrsquant-dataset")
@@ -247,17 +242,6 @@ def _tree_from_dict(path, target, index, d):
         return RegressionTree(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
     except ValidationError as e:
         raise FileFormatError(f"{path}: tree {index} of target {target!r}: {e}") from e
-
-
-def forest_config_from_dict(d):
-    return ForestConfig(
-        n_trees=d["n_trees"],
-        max_features=d["max_features"],
-        min_leaf_size=d["min_leaf_size"],
-        max_depth=d["max_depth"],
-        rng_seed=d["rng_seed"],
-        bootstrap=d.get("bootstrap", "sample"),
-    )
 
 
 def model_fingerprint(model):
@@ -333,7 +317,7 @@ def read_model(path):
             for name in target_names
         ]
         return RandomForestModel(
-            config=forest_config_from_dict(data["config"]),
+            config=ForestConfig(**data["config"]),
             target_names=target_names,
             forests=forests,
             oob_curves=oob,
@@ -355,15 +339,7 @@ def write_report(path, report):
 
 def read_report(path):
     def build(data):
-        return EvalReport(
-            experiment=data["experiment"],
-            truth_source=data["truth_source"],
-            target_names=data["target_names"],
-            summary=data["summary"],
-            per_sample=data["per_sample"],
-            inputs=data["inputs"],
-            notes=data.get("notes", {}),
-        )
+        return EvalReport(**{k: v for k, v in data.items() if k not in ("format", "format_version")})
 
     return load_json(path, build, "mrsquant-report")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,10 @@ class ForestConfig:
     bootstrap: str = "sample"  # "identity" trains every tree on all samples once (test hook)
 
     def __post_init__(self):
-        for name in ("n_trees", "max_features", "min_leaf_size"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v}")
-            object.__setattr__(self, name, int(v))
-        if self.max_depth is not None and (int(self.max_depth) != self.max_depth or self.max_depth < 1):
-            raise ValidationError(f"max_depth must be a positive integer or None, got {self.max_depth}")
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
-            raise ValidationError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
+        for name, low in (("n_trees", 1), ("max_features", 1), ("min_leaf_size", 1), ("rng_seed", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), low))
+        if self.max_depth is not None:
+            object.__setattr__(self, "max_depth", integer("max_depth", self.max_depth, 1))
         if self.bootstrap not in ("sample", "identity"):
             raise ValidationError(f"bootstrap must be 'sample' or 'identity', got {self.bootstrap!r}")
 
@@ -456,7 +451,8 @@ def slice_forest(model, n_trees):
     Valid because tree i of target t depends only on (seed, t, i); verified
     by the test suite against a direct smaller training run.
     """
-    if not 1 <= n_trees <= model.config.n_trees:
+    n_trees = integer("n_trees", n_trees, 1)
+    if n_trees > model.config.n_trees:
         raise ValidationError(f"n_trees must be in [1, {model.config.n_trees}], got {n_trees}")
     return RandomForestModel(
         replace(model.config, n_trees=n_trees),

@@ -9,7 +9,7 @@ for datasets playing the role of fitted in-vivo data.
 import numpy as np
 
 from .basis import _metabolite_values
-from .errors import GridCompatibilityError, ValidationError
+from .errors import GridCompatibilityError, ValidationError, integer
 from .signal import ppm_axis
 
 
@@ -51,8 +51,7 @@ def lsq_fit_batch(real_rows, basis, spec_axis, baseline_degree=4):
     Negative coefficients are returned as-is; a rank-deficient design gets
     the minimum-norm solution.
     """
-    if baseline_degree < 0 or int(baseline_degree) != baseline_degree:
-        raise ValidationError(f"baseline_degree must be an integer >= 0, got {baseline_degree}")
+    baseline_degree = integer("baseline_degree", baseline_degree, 0)
     rows = np.asarray(real_rows, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:

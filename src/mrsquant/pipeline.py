@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_from_dict, default_brain_basis
 from .errors import GridCompatibilityError, ValidationError
 from .forest import fit_forest
 from .lsqfit import lsq_fit_batch
@@ -92,20 +91,13 @@ def predict_dataset(model, dataset, allow_resample=False):
     return model.predict_matrix(X)
 
 
-def basis_for_dataset(dataset):
-    """Basis rendered at the dataset's own acquisition, for oracle fitting."""
-    if dataset.config and "basis" in dataset.config:
-        return basis_from_dict(dataset.config["basis"], dataset.params, dataset.reference_ppm)
-    return default_brain_basis(dataset.params, dataset.reference_ppm)
-
-
 def oracle_ratios(dataset, target_names, baseline_degree=4):
     """Least-squares ratio estimates for every spectrum, on its native grid.
 
     Returns (estimates, ok) where estimates is (n_spectra, n_targets) with
     NaN rows for unusable fits (non-positive Cr) and ok flags the rest.
     """
-    basis = basis_for_dataset(dataset)
+    basis = dataset.basis
     if "Cr" not in basis.names:
         raise ValidationError("oracle basis has no Cr; Cr ratios are undefined")
     ratio_cols = {f"{name}/Cr": j for j, name in enumerate(basis.names) if name != "Cr"}

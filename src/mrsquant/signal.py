@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 # Water resonance, the conventional axis reference.
 DEFAULT_REFERENCE_PPM = 4.7
@@ -37,11 +37,9 @@ class AcquisitionParams:
     def __post_init__(self):
         if not self.spectral_width > 0:
             raise ValidationError(f"spectral_width must be > 0, got {self.spectral_width}")
-        if int(self.n_points) != self.n_points or self.n_points < 2:
-            raise ValidationError(f"n_points must be an integer >= 2, got {self.n_points}")
+        object.__setattr__(self, "n_points", integer("n_points", self.n_points, 2))
         if not self.transmitter_freq > 0:
             raise ValidationError(f"transmitter_freq must be > 0, got {self.transmitter_freq}")
-        object.__setattr__(self, "n_points", int(self.n_points))
 
 
 @dataclass(frozen=True)

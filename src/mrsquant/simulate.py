@@ -18,7 +18,7 @@ import numpy as np
 
 # linear_combination is one row of combination_values; it stays importable from here.
 from .basis import combination_values, linear_combination
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .signal import DEFAULT_REFERENCE_PPM, ComplexSpectrum, lorentzian_fids, ppm_axis, spectra_from_fids
 
 DEFAULT_CONCENTRATION_RANGES = {
@@ -77,11 +77,8 @@ class SimulationConfig:
     lipid_amplitude_range: tuple = DEFAULT_LIPID_RANGE
 
     def __post_init__(self):
-        if int(self.n_spectra) != self.n_spectra or self.n_spectra < 1:
-            raise ValidationError(f"n_spectra must be a positive integer, got {self.n_spectra}")
-        object.__setattr__(self, "n_spectra", int(self.n_spectra))
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
-            raise ValidationError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
+        object.__setattr__(self, "n_spectra", integer("n_spectra", self.n_spectra, 1))
+        object.__setattr__(self, "rng_seed", integer("rng_seed", self.rng_seed, 0))
         ranges = {}
         for name, pair in self.concentration_ranges.items():
             self.basis.get(name)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mrsquant import fileio
+from mrsquant.basis import default_brain_basis
 from mrsquant.cli import main, resolve_threads
 from mrsquant.dataset import Dataset
 from mrsquant.forest import ForestConfig
@@ -103,6 +104,16 @@ class TestTrain:
         model = fileio.read_model(model_path)
         assert model.config.n_trees == 3
         assert (tmp_path / "model.json.oob.csv").exists()
+
+    def test_null_embedded_basis_means_the_built_in_one(self, tmp_path):
+        data = simulate(tmp_path, n=12)
+        doc = json.loads(data.read_text())
+        doc["config"]["basis"] = None
+        data.write_text(json.dumps(doc))
+        dataset = fileio.read_dataset(data)
+        assert dataset.basis == default_brain_basis(dataset.params, dataset.reference_ppm)
+        assert main(["train", "--dataset", str(data), "--output", str(tmp_path / "model.json"),
+                     "--seed", "7", "--trees", "2", "--max-features", "16", "--min-leaf", "2"]) == 0
 
     def test_retrain_byte_identical(self, tmp_path):
         data = simulate(tmp_path, n=20)
@@ -354,6 +365,55 @@ class TestEvaluate:
                       datasets={"data": data, "train": str(tmp_path / "missing.json")})
         assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
         assert fileio.read_report(tmp_path / "r.json").experiment["name"] == "real-real-spectra"
+
+    def _report_fields(self, cfg_path, doc):
+        """The report evaluate writes for doc, less the config fingerprint."""
+        cfg_path.write_text(json.dumps(doc))
+        out = cfg_path.with_suffix(".report.json")
+        assert main(["evaluate", "--config", str(cfg_path), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        del report["inputs"]["experiment_config_fingerprint"]
+        return report
+
+    @pytest.mark.parametrize("design,extra", [("synthetic-synthetic", {}),
+                                              ("real-real-spectra", {"k_folds": 2})])
+    def test_integer_valued_floats_read_as_integers(self, tmp_path, design, extra):
+        doc = json.loads(self._config(tmp_path).read_text())
+        doc.update(experiment=design, baseline_degree=2, **extra)
+        doc["forest"].update(n_trees=2, max_depth=8)
+        if design == "real-real-spectra":
+            doc["datasets"] = {"data": doc["datasets"]["train"]}
+        floats = dict(doc, seed=3.0, baseline_degree=2.0, **{k: float(v) for k, v in extra.items()},
+                      forest=dict(doc["forest"], n_trees=2.0, max_depth=8.0, rng_seed=3.0))
+        assert (self._report_fields(tmp_path / "floats.json", floats)
+                == self._report_fields(tmp_path / "ints.json", doc))
+
+    @pytest.mark.parametrize("seed", [3.5, True])
+    def test_fractional_or_boolean_seed_exits_2(self, tmp_path, capsys, seed):
+        cfg = self._config(tmp_path, seed=seed)
+        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 2
+        assert f"seed must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+
+    def test_unknown_forest_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, forest={"n_tress": 3})
+        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 2
+        assert "n_tress" in capsys.readouterr().err
+
+    def test_spectrum_the_oracle_refused_is_not_predicted(self, tmp_path):
+        # the negated row has no positive Cr peak, so the forest's features could not be built for it
+        train = tmp_path / "default-grid.json"
+        assert main(["simulate", "--seed", "1", "--n-spectra", "80", "--output", str(train)]) == 0
+        mrsi = dict(ACQ_SMALL, spectral_width_hz=2000.0, n_points=200)
+        test = simulate(tmp_path, "mrsi.json", n=20, seed=7, config_fields={"acquisition": mrsi})
+        dataset = fileio.read_dataset(test)
+        dataset.values[3] *= -1
+        fileio.write_dataset(test, dataset)
+        cfg = self._config(tmp_path, experiment="real-real-images",
+                           datasets={"train": str(train), "test": str(test)})
+        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
+        report = fileio.read_report(tmp_path / "r.json")
+        assert report.notes == {"test_oracle_failures": 1}
+        assert all(len(report.per_sample[t]["truth"]) == 19 for t in report.target_names)
 
     def test_degenerate_labels_exit_4(self, tmp_path):
         # constant labels make the Pearson score undefined: numerical-failure exit

@@ -17,7 +17,8 @@ from mrsquant.evaluate import (
     relative_error,
     run_experiment,
 )
-from mrsquant.forest import ForestConfig
+from mrsquant.forest import ForestConfig, fit_forest, slice_forest
+from mrsquant.lsqfit import lsq_fit_batch
 from mrsquant.pipeline import oracle_ratios, predict_dataset, train_model
 from mrsquant.signal import AcquisitionParams
 from mrsquant.simulate import SimulationConfig, simulate_dataset
@@ -128,6 +129,37 @@ class TestKfold:
     def test_k_above_n_rejected(self):
         with pytest.raises(ValidationError):
             kfold_split(5, 6, seed=0)
+
+
+class TestIntegerValuedFloats:
+    """An integer argument given as an integer-valued float acts as the integer does."""
+
+    def test_simulation_seed(self):
+        a, b = (dataset_from_labeled(simulate_dataset(SimulationConfig(basis=BASIS, n_spectra=3, rng_seed=s)))
+                for s in (3, 3.0))
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.labels, b.labels)
+
+    def test_slice_forest(self):
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(40, 5)), rng.normal(size=40)
+        model = fit_forest(X, y, ForestConfig(n_trees=4, max_features=2, min_leaf_size=2, rng_seed=1))
+        a, b = slice_forest(model, 2), slice_forest(model, 2.0)
+        assert b.config == a.config and isinstance(b.config.n_trees, int)
+        assert np.array_equal(b.predict_matrix(X), a.predict_matrix(X))
+
+    def test_lsq_baseline_degree(self):
+        data = clean_dataset(4, seed=71)
+        a, b = (lsq_fit_batch(data.values.real, BASIS, data.ppm_axis, d) for d in (4, 4.0))
+        assert np.array_equal(a, b)
+
+    def test_kfold_seed(self):
+        for fa, fb in zip(kfold_split(10, 2, 3), kfold_split(10, 2.0, 3.0)):
+            assert np.array_equal(fa, fb)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    def test_boolean_fractional_or_small_tree_count_refused(self, value):
+        with pytest.raises(ValidationError, match="n_trees"):
+            ForestConfig(n_trees=value, max_features=1)
 
 
 class TestExperiments:

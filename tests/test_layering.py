@@ -1,8 +1,9 @@
 """The modules of the mrsquant package import each other only at module level, and without a cycle.
 
 An import inside a function hides a dependency from a reader of the module's
-header and is the usual way a cycle gets papered over.  The modules are read
-with ast, not imported.
+header and is the usual way a cycle gets papered over.  Integer fields are
+checked by errors.integer alone, so no module keeps its own copy of the
+check.  The modules are read with ast, not imported.
 """
 
 import ast
@@ -65,3 +66,23 @@ def test_module_imports_have_no_cycle():
 def test_computation_modules_do_not_import_the_file_formats():
     for module in ("evaluate", "pipeline"):
         assert "fileio" not in set().union(*(_siblings(node) for node in ast.walk(_tree(module))))
+
+
+def _integer_checks(tree):
+    """Source of every int(x) != x (or ==) comparison in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for a, op, b in zip(operands, node.ops, operands[1:]):
+                for call, other in ((a, b), (b, a)):
+                    if (isinstance(op, (ast.Eq, ast.NotEq)) and isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None) == "int" and len(call.args) == 1
+                            and ast.dump(call.args[0]) == ast.dump(other)):
+                        yield ast.unparse(node)
+
+
+def test_integer_check_lives_in_errors_alone():
+    assert len(list(_integer_checks(_tree("errors")))) == 1
+    found = [f"{module}: {check}" for module in MODULES if module != "errors"
+             for check in _integer_checks(_tree(module))]
+    assert found == []

@@ -2,8 +2,9 @@
 
 Each fixed case is one hand-made edit of a valid file or config, or a bad
 flag value.  The Hypothesis tests apply one drawn edit to a valid document
-of each kind: a key deleted, a value replaced by null, a string, a number,
-a list or {}, or the text truncated.
+of each kind: a key deleted, a value replaced by null, a string, a number
+(an integer-valued float and true among them), a list or {}, or the text
+truncated.
 """
 
 import copy
@@ -211,7 +212,7 @@ EDITS = st.one_of(
     st.none(),
     st.sampled_from(["", "abc"]),
     st.integers(-2, 3),
-    st.sampled_from([0.5, -1.5]),
+    st.sampled_from([0.5, -1.5, 2.0, True]),
     st.lists(st.integers(-1, 3), max_size=2),
     st.builds(dict),
     st.just(TRUNCATE),
