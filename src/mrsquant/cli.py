@@ -1,10 +1,9 @@
 """Command-line surface: simulate, train, predict, evaluate, oob-scan.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 data
-compatibility error (e.g. grid mismatch without --preprocess), 4 undefined
-numerical result.  --threads sets the worker count (default 1): train,
-evaluate and oob-scan grow trees in that many forked processes, simulate
-uses threads, and predict runs on one thread.  No output depends on it.
+A refusal exits with its error class's exit_code, an OSError with 2.
+--threads sets the worker count (default 1): train, evaluate and oob-scan
+grow trees in that many forked processes, simulate uses threads, and
+predict runs on one thread.  No output depends on it.
 """
 
 import argparse
@@ -16,7 +15,7 @@ import numpy as np
 from . import fileio
 from .basis import basis_to_dict
 from .dataset import config_fingerprint, dataset_from_labeled
-from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
+from .errors import MrsQuantError, ValidationError, integer
 from .evaluate import ExperimentSpec, run_experiment
 from .forest import ForestConfig, fit_forest
 from .pipeline import build_feature_space, features_for_dataset, train_model
@@ -34,8 +33,8 @@ def resolve_threads(flag_value):
     return 1 if flag_value is None else max(1, int(flag_value))
 
 
-def _sim_config(args, file_cfg):
-    """SimulationConfig from the --config document (or {}), the flags and the defaults."""
+def _sim_config(args, basis, file_cfg):
+    """SimulationConfig from the --config document (or {}), the flags, the --basis basis and the defaults."""
     cfg = {
         "acquisition": dict(DEFAULT_ACQUISITION),
         "reference_ppm": 4.7,
@@ -46,8 +45,7 @@ def _sim_config(args, file_cfg):
         cfg["n_spectra"] = args.n_spectra
     if "n_spectra" not in cfg:
         raise ValidationError("simulate needs --n-spectra (field n_spectra)")
-    if args.basis:
-        basis = fileio.read_basis(args.basis)
+    if basis is not None:
         cfg["acquisition"] = fileio.acquisition_to_dict(basis.params)
         cfg["reference_ppm"] = basis.reference_ppm
         cfg["basis"] = basis_to_dict(basis)
@@ -55,10 +53,12 @@ def _sim_config(args, file_cfg):
 
 
 def cmd_simulate(args):
+    # the basis file is read first, so a refusal of it is not also blamed on the config file
+    basis = fileio.read_basis(args.basis) if args.basis else None
     if args.config:
-        config = fileio.load_json(args.config, lambda doc: _sim_config(args, doc))
+        config = fileio.load_json(args.config, lambda doc: _sim_config(args, basis, doc))
     else:
-        config = _sim_config(args, {})
+        config = _sim_config(args, basis, {})
     threads = resolve_threads(args.threads)
     labeled = simulate_dataset(config, threads=threads)
     config_dict = fileio.sim_config_to_dict(config)
@@ -115,12 +115,18 @@ def cmd_predict(args):
     return 0
 
 
+_FOREST_KEYS = ("n_trees", "max_features", "min_leaf_size", "max_depth", "rng_seed")
+
+
 def _experiment(doc):
     """(ExperimentSpec, {role: dataset path}, config fingerprint) from an evaluate config."""
-    forest = {"n_trees": 100, "max_features": 64, "rng_seed": doc["seed"]}
-    forest.update(doc.get("forest", {}))
+    seed = integer("seed", doc["seed"], 0)  # checked before the forest's rng_seed, which defaults to it
+    forest = {"n_trees": 100, "max_features": 64, "rng_seed": seed, **doc.get("forest", {})}
+    unknown = [k for k in forest if k not in _FOREST_KEYS]
+    if unknown:
+        raise ValidationError(f"unknown forest key {unknown[0]!r}; the keys are {', '.join(_FOREST_KEYS)}")
     optional = {k: doc[k] for k in ("k_folds", "baseline_degree", "preprocess") if k in doc}
-    spec = ExperimentSpec(doc.get("experiment"), ForestConfig(**forest), doc["seed"], **optional)
+    spec = ExperimentSpec(doc.get("experiment"), ForestConfig(**forest), seed, **optional)
     given = doc.get("datasets", {})
     needed = ("data",) if spec.name == "real-real-spectra" else ("train", "test")
     for role in needed:
@@ -246,18 +252,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GridCompatibilityError as e:
+    except (MrsQuantError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UndefinedResultError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return getattr(e, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,17 +61,9 @@ class Dataset:
 
     def take(self, idx):
         """The spectra at the integer indices idx, with their labels and truth."""
-        return Dataset(
-            params=self.params,
-            reference_ppm=self.reference_ppm,
-            ppm_axis=self.ppm_axis,
-            values=self.values[idx],
-            target_names=self.target_names,
-            labels=self.labels[idx] if self.labels is not None else None,
-            truth_params=[self.truth_params[i] for i in idx] if self.truth_params else None,
-            config=self.config,
-            fingerprint=self.fingerprint,
-        )
+        return replace(self, values=self.values[idx],
+                       labels=self.labels[idx] if self.labels is not None else None,
+                       truth_params=[self.truth_params[i] for i in idx] if self.truth_params else None)
 
 
 def dataset_from_labeled(labeled, config_dict=None, target_names=None):

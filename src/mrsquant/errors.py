@@ -1,13 +1,10 @@
-"""Exception hierarchy shared across the toolkit.
-
-The CLI maps these onto exit codes: validation and file-format problems
-exit 2, grid/protocol incompatibilities exit 3, undefined numerical
-results exit 4.
-"""
+"""Exception hierarchy shared across the toolkit; each class's exit_code is the CLI's exit status for it."""
 
 
 class MrsQuantError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
 
 
 class ValidationError(MrsQuantError):
@@ -29,9 +26,13 @@ class UnsupportedVersionError(FileFormatError):
 class GridCompatibilityError(MrsQuantError):
     """Spectra and model/basis grids do not match and preprocessing was not enabled."""
 
+    exit_code = 3
+
 
 class UndefinedResultError(MrsQuantError):
     """A numerical result is undefined for the given inputs (e.g. ratio over a non-positive Cr fit)."""
+
+    exit_code = 4
 
 
 def integer(name, value, low):

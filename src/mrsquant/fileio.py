@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import basis_from_config, basis_from_dict, basis_to_dict
 from .dataset import Dataset, config_fingerprint
-from .errors import FileFormatError, UnsupportedVersionError, ValidationError
+from .errors import FileFormatError, MrsQuantError, UnsupportedVersionError, ValidationError
 from .evaluate import EvalReport
 from .forest import ForestConfig, RandomForestModel, RegressionTree
 from .pipeline import FEATURE_KIND, FeatureMeta
@@ -35,7 +35,8 @@ def load_json(path, build, expected_format=None):
     format tag and FORMAT_VERSION.  A KeyError raised while building becomes
     FileFormatError naming the missing field; a TypeError, ValueError,
     AttributeError, IndexError or OverflowError becomes FileFormatError for a
-    malformed field.  MrsQuantErrors raised by build pass through unchanged.
+    malformed field.  A MrsQuantError raised by build is raised again as the
+    same class, so every refusal of the file's content names the file here.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -54,6 +55,8 @@ def load_json(path, build, expected_format=None):
             )
     try:
         return build(doc)
+    except MrsQuantError as e:
+        raise type(e)(f"{path}: {e}") from e
     except KeyError as e:
         raise FileFormatError(f"{path}: missing field {e}") from e
     except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
@@ -187,23 +190,20 @@ def read_dataset(path):
         records = data["records"]
         target_names = list(data["target_names"])
         if len(records) == 0:
-            raise ValidationError(f"{path}: dataset holds no spectra")
+            raise ValidationError("dataset holds no spectra")
         # each string is dropped as it is decoded, so its memory can hold the next block
         blocks = []
         for i, r in enumerate(records):
             block = decode_spectrum(r.pop("spectrum_b64", None), params.n_points)
             if block is None:
-                raise FileFormatError(f"{path}: record {i} has no readable spectrum_b64 "
-                                      f"of {params.n_points} points")
+                raise FileFormatError(f"record {i} has no readable spectrum_b64 of {params.n_points} points")
             blocks.append(block)
         values = np.frombuffer(bytearray().join(blocks), "<c16").reshape(len(records), params.n_points)
         del blocks  # one copy of the spectra from here on
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
-            raise FileFormatError(
-                f"{path}: record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
-                f"{bad.size} records do"
-            )
+            raise FileFormatError(f"record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
+                                  f"{bad.size} records do")
         labels = None
         if all(r.get("labels") for r in records) and target_names:
             labels = [[r["labels"][t] for t in target_names] for r in records]
@@ -237,11 +237,11 @@ def _tree_to_dict(tree):
     }
 
 
-def _tree_from_dict(path, target, index, d):
+def _tree_from_dict(target, index, d):
     try:
         return RegressionTree(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
     except ValidationError as e:
-        raise FileFormatError(f"{path}: tree {index} of target {target!r}: {e}") from e
+        raise FileFormatError(f"tree {index} of target {target!r}: {e}") from e
 
 
 def model_fingerprint(model):
@@ -296,10 +296,8 @@ def read_model(path):
     def build(data):
         fdict = data["feature"]
         if fdict["kind"] != FEATURE_KIND:
-            raise UnsupportedVersionError(
-                f"{path}: feature kind {fdict['kind']!r} is not supported (expected "
-                f"{FEATURE_KIND!r}); retrain the model"
-            )
+            raise UnsupportedVersionError(f"feature kind {fdict['kind']!r} is not supported "
+                                          f"(expected {FEATURE_KIND!r}); retrain the model")
         meta = FeatureMeta(
             grid=np.asarray(fdict["grid_ppm"], dtype=np.float64),
             crop_hi=float(fdict["crop_hi_ppm"]),
@@ -308,10 +306,10 @@ def read_model(path):
             kind=fdict["kind"],
         )
         target_names = list(data["target_names"])
-        forests = [[_tree_from_dict(path, name, i, t) for i, t in enumerate(data["forests"][name])]
+        forests = [[_tree_from_dict(name, i, t) for i, t in enumerate(data["forests"][name])]
                    for name in target_names]
         if any(tree.feature.max() >= meta.grid.size for trees in forests for tree in trees):
-            raise FileFormatError(f"{path}: a tree splits on a feature past the {meta.grid.size} grid bins")
+            raise FileFormatError(f"a tree splits on a feature past the {meta.grid.size} grid bins")
         oob = [
             np.asarray(data["oob"][name], dtype=np.float64) if data["oob"][name] is not None else None
             for name in target_names

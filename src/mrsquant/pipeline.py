@@ -71,11 +71,6 @@ def train_model(dataset, forest_config, labels=None, target_names=None, threads=
         target_names = dataset.target_names
     if labels is None:
         raise ValidationError("dataset has no labels; supply labels= explicitly")
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.ndim == 1:
-        labels = labels[:, None]
-    if labels.shape[0] != dataset.n_spectra:
-        raise ValidationError("label rows must match the number of spectra")
     meta, X = build_feature_space(dataset)
     model = fit_forest(X, labels, forest_config, target_names=target_names, threads=threads)
     model.feature_meta = meta

@@ -399,6 +399,13 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 2
         assert "n_tress" in capsys.readouterr().err
 
+    def test_bootstrap_is_not_an_evaluate_forest_key(self, tmp_path, capsys):
+        # the identity bootstrap is a library test hook: it leaves no out-of-bag rows
+        cfg = self._config(tmp_path, forest={"bootstrap": "identity", "n_trees": 2, "max_features": 4})
+        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: unknown forest key 'bootstrap'")
+        assert not (tmp_path / "r.json").exists()
+
     def test_spectrum_the_oracle_refused_is_not_predicted(self, tmp_path):
         # the negated row has no positive Cr peak, so the forest's features could not be built for it
         train = tmp_path / "default-grid.json"

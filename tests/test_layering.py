@@ -3,7 +3,9 @@
 An import inside a function hides a dependency from a reader of the module's
 header and is the usual way a cycle gets papered over.  Integer fields are
 checked by errors.integer alone, so no module keeps its own copy of the
-check.  The modules are read with ast, not imported.
+check.  A refused file is named by fileio.load_json alone, and an error's exit
+code is its class's exit_code, so cli catches no single error class.  The
+modules are read with ast, not imported.
 """
 
 import ast
@@ -86,3 +88,38 @@ def test_integer_check_lives_in_errors_alone():
     found = [f"{module}: {check}" for module in MODULES if module != "errors"
              for check in _integer_checks(_tree(module))]
     assert found == []
+
+
+def _path_prefixed(tree):
+    """Every f-string in tree that starts with {path}."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.JoinedStr) and node.values
+                and isinstance(node.values[0], ast.FormattedValue)
+                and getattr(node.values[0].value, "id", None) == "path"):
+            yield node
+
+
+def test_file_name_prefix_lives_in_load_json_alone():
+    module = _tree("fileio")
+    load_json = next(node for node in module.body if getattr(node, "name", None) == "load_json")
+    inside = set(map(id, _path_prefixed(load_json)))
+    assert inside
+    assert [ast.unparse(node) for node in _path_prefixed(module) if id(node) not in inside] == []
+
+
+def _error_subclasses():
+    """Names of the classes errors derives from MrsQuantError; a base is defined before its subclasses."""
+    derived = {"MrsQuantError"}
+    for node in _tree("errors").body:
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in derived for b in node.bases):
+            derived.add(node.name)
+    return derived - {"MrsQuantError"}
+
+
+def test_cli_catches_no_single_error_class():
+    subclasses = _error_subclasses()
+    assert {"FileFormatError", "GridCompatibilityError", "UndefinedResultError"} <= subclasses
+    caught = [getattr(name, "id", getattr(name, "attr", None))
+              for node in ast.walk(_tree("cli")) if isinstance(node, ast.ExceptHandler) and node.type
+              for name in ast.walk(node.type)]
+    assert sorted(subclasses.intersection(caught)) == []

@@ -4,7 +4,7 @@ Each fixed case is one hand-made edit of a valid file or config, or a bad
 flag value.  The Hypothesis tests apply one drawn edit to a valid document
 of each kind: a key deleted, a value replaced by null, a string, a number
 (an integer-valued float and true among them), a list or {}, or the text
-truncated.
+truncated.  A file reader that refuses its file must name the file.
 """
 
 import copy
@@ -195,6 +195,58 @@ def test_malformed_evaluate_config_exits_2(valid, tmp_path, capsys, name):
     exits_2_naming(["evaluate", "--config", bad, "--output", str(tmp_path / "r.json")], bad, capsys)
 
 
+def without_forest_seed(doc):
+    """An evaluate config whose forest rng_seed defaults to a fractional seed."""
+    doc["seed"] = 3.5
+    del doc["forest"]["rng_seed"]
+
+
+# refusals raised by a constructor while a file is built; each names the file once, at its start
+BUILT_REFUSALS = {
+    "dataset spectral_width_hz=0": ("dataset", set_at(["acquisition", "spectral_width_hz"], 0),
+                                    "spectral_width must be > 0, got 0"),
+    "dataset basis name=''": ("dataset", set_at(["config", "basis", "metabolites", 0, "name"], ""),
+                              "metabolite name must be nonempty"),
+    "model n_trees=3 for 2": ("model", set_at(["config", "n_trees"], 3),
+                              "each ensemble must have exactly config.n_trees trees"),
+    "model n_trees=0": ("model", set_at(["config", "n_trees"], 0), "n_trees must be"),
+    "evaluate n_trees=0": ("evaluate", set_at(["forest", "n_trees"], 0), "n_trees must be"),
+    "evaluate seed=3.5": ("evaluate", without_forest_seed, "seed must be an integer >= 0, got 3.5"),
+    "simulate snr_range=[0,5]": ("simulate", set_at(["snr_range"], [0, 5]), "snr_range"),
+}
+
+
+@pytest.mark.parametrize("name", BUILT_REFUSALS)
+def test_refusal_while_building_names_the_file(valid, tmp_path, capsys, name):
+    kind, edit, message = BUILT_REFUSALS[name]
+    if kind in ("dataset", "model"):
+        bad = edited(valid[kind], tmp_path / "bad.json", edit)
+    else:
+        doc = copy.deepcopy(valid[kind])
+        edit(doc)
+        bad = json_file(tmp_path / "bad.json", doc)
+    argv = {
+        "dataset": predict_argv(valid, valid["model"], bad),
+        "model": predict_argv(valid, bad, valid["dataset"]),
+        "evaluate": ["evaluate", "--config", bad, "--output", str(tmp_path / "r.json")],
+        "simulate": ["simulate", "--config", bad, "--seed", "1", "--n-spectra", "2",
+                     "--output", str(tmp_path / "out.json")],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count(bad) == 1
+    assert message in err
+
+
+def test_basis_refusal_names_the_basis_file_alone(valid, tmp_path, capsys):
+    bad = edited(valid["basis"], tmp_path / "bad.json", set_at(["metabolites", 0, "name"], ""))
+    cfg = json_file(tmp_path / "sim.json", {"acquisition": ACQ})
+    assert main(["simulate", "--config", cfg, "--basis", bad, "--seed", "1", "--n-spectra", "2",
+                 "--output", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and cfg not in err
+
+
 @pytest.mark.parametrize("value", ["abc", "2.5", "0"])
 def test_bad_max_depth_rejected_by_parser(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
@@ -255,12 +307,21 @@ def unless_refused(fn, *args):
         return None
 
 
+def read_or_refused(read, path):
+    """read(path), or None when it refuses the file with a MrsQuantError naming it; anything else fails."""
+    try:
+        return read(path)
+    except MrsQuantError as e:
+        assert str(path) in str(e)
+        return None
+
+
 @FUZZ
 @given(data=st.data())
 def test_fuzzed_dataset_is_read_or_refused(valid, tmp_path_factory, data):
     path = fresh(tmp_path_factory, "dataset.json")
     path.write_text(mutate(data, json.loads(valid["dataset"].read_text())))
-    dataset = unless_refused(fileio.read_dataset, path)
+    dataset = read_or_refused(fileio.read_dataset, path)
     if dataset is not None:
         # a dataset that loads can be quantified by a model and by the oracle
         meta = fileio.read_model(valid["model"]).feature_meta
@@ -273,7 +334,7 @@ def test_fuzzed_dataset_is_read_or_refused(valid, tmp_path_factory, data):
 def test_fuzzed_model_is_read_or_refused(valid, tmp_path_factory, data):
     path = fresh(tmp_path_factory, "model.json")
     path.write_text(mutate(data, json.loads(valid["model"].read_text())))
-    model = unless_refused(fileio.read_model, path)
+    model = read_or_refused(fileio.read_model, path)
     if model is not None:
         # a model that loads applies to spectra without a traceback or a hang
         features = unless_refused(features_for_dataset, model.feature_meta,
@@ -287,7 +348,7 @@ def test_fuzzed_model_is_read_or_refused(valid, tmp_path_factory, data):
 def test_fuzzed_basis_is_read_or_refused(valid, tmp_path_factory, data):
     path = fresh(tmp_path_factory, "basis.json")
     path.write_text(mutate(data, json.loads(valid["basis"].read_text())))
-    unless_refused(fileio.read_basis, path)
+    read_or_refused(fileio.read_basis, path)
 
 
 @FUZZ
@@ -295,7 +356,7 @@ def test_fuzzed_basis_is_read_or_refused(valid, tmp_path_factory, data):
 def test_fuzzed_report_is_read_or_refused(valid, tmp_path_factory, data):
     path = fresh(tmp_path_factory, "report.json")
     path.write_text(mutate(data, json.loads(valid["report"].read_text())))
-    unless_refused(fileio.read_report, path)
+    read_or_refused(fileio.read_report, path)
 
 
 @FUZZ
