@@ -134,14 +134,17 @@ def _check_scales(concentration, t2_scale):
         raise ValidationError(f"t2_scale must be > 0, got {t2_scale}")
 
 
-def _metabolite_values(basis, name, concentrations, t2_scales):
-    """(rows, n_points) spectra of one metabolite, row r at concentrations[r] and T2 scale t2_scales[r]."""
+def _metabolite_values(basis, names, concentrations, t2_scales):
+    """Yields a (rows, n_points) spectrum per names[m]: row r at concentrations[r, m], T2 scale t2_scales[r]."""
+    components = [basis.get(name).components for name in names]
     shifts, amps, t2s, phases = np.array(
-        [(c.chemical_shift, c.amplitude, c.t2, c.phase0) for c in basis.get(name).components]
-    ).T
-    fids = lorentzian_fids(basis.params, basis.reference_ppm, shifts, amps * concentrations[:, None],
-                           t2s * t2_scales[:, None], phases)
-    return spectra_from_fids(fids)
+        [(c.chemical_shift, c.amplitude, c.t2, c.phase0) for cs in components for c in cs], dtype=np.float64
+    ).reshape(-1, 4).T
+    sizes = [len(cs) for cs in components]
+    owner = np.repeat(np.arange(len(names)), sizes)
+    fids = lorentzian_fids(basis.params, basis.reference_ppm, shifts, amps * concentrations[:, owner],
+                           t2s * t2_scales[:, None], phases, sizes)
+    return (spectra_from_fids(fid) for fid in fids)
 
 
 def combination_values(basis, names, concentrations, t2_scales):
@@ -151,8 +154,8 @@ def combination_values(basis, names, concentrations, t2_scales):
     of the ones before it, as linear_combination does for one row.
     """
     total = np.zeros((len(t2_scales), basis.params.n_points), dtype=np.complex128)
-    for m, name in enumerate(names):
-        total = total + _metabolite_values(basis, name, concentrations[:, m], t2_scales)
+    for values in _metabolite_values(basis, names, concentrations, t2_scales):
+        total += values
     return total
 
 

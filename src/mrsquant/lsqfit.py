@@ -33,8 +33,8 @@ def _match_bins(spec_axis, basis_axis):
 def basis_design_matrix(basis, spec_axis):
     """Columns of unit-concentration real-part metabolite spectra on the bins spec_axis."""
     rows = _match_bins(np.asarray(spec_axis, dtype=np.float64), ppm_axis(basis.params, basis.reference_ppm))
-    one = np.ones(1)
-    return np.column_stack([_metabolite_values(basis, name, one, one)[0].real[rows] for name in basis.names])
+    values = _metabolite_values(basis, basis.names, np.ones((1, len(basis.names))), np.ones(1))
+    return np.column_stack([v[0].real[rows] for v in values])
 
 
 def polynomial_columns(n, degree):

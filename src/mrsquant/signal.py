@@ -134,29 +134,39 @@ def synthesize_fid(components, params, reference_ppm=DEFAULT_REFERENCE_PPM):
     """
     if not isinstance(params, AcquisitionParams):
         raise ValidationError("params must be an AcquisitionParams instance")
-    if len(components) == 0:
-        return TimeSignal(np.zeros(params.n_points, dtype=np.complex128), params)
     shifts, amps, t2s, phases = np.array(
-        [(c.chemical_shift, c.amplitude, c.t2, c.phase0) for c in components]
-    ).T
-    samples = lorentzian_fids(params, reference_ppm, shifts, amps[None], t2s[None], phases)
-    return TimeSignal(samples[0], params)
+        [(c.chemical_shift, c.amplitude, c.t2, c.phase0) for c in components], dtype=np.float64
+    ).reshape(-1, 4).T
+    (fid,) = lorentzian_fids(params, reference_ppm, shifts, amps[None], t2s[None], phases, [len(shifts)])
+    return TimeSignal(fid[0], params)
 
 
-def lorentzian_fids(params, reference_ppm, shifts, amplitudes, t2s, phases):
-    """FIDs of many line sets at once, as a (rows, n_points) complex array.
+def lorentzian_fids(params, reference_ppm, shifts, amplitudes, t2s, phases, sizes):
+    """FIDs of many line sets at once, yielding one (rows, n_points) complex array per group of lines.
 
     shifts is (k,) in ppm; amplitudes and t2s are (rows, k) and phases
-    broadcasts against them.  Row r is the synthesize_fid sum of the k lines
-    with row r's parameters, one (1, k) @ (k, n_points) product per row, so
-    a row does not depend on the rows batched with it.
+    broadcasts against them.  The k lines fall into consecutive groups of
+    sizes[g] lines, and FID g of row r sums group g's lines with row r's
+    parameters, one (1, sizes[g]) @ (sizes[g], n_points) product per row,
+    so a row does not depend on the rows batched with it.
     """
     t = np.arange(params.n_points) / params.spectral_width
     freqs = (np.asarray(shifts, dtype=np.float64) - reference_ppm) * params.transmitter_freq
-    # rate has the oscillation and the decay folded into one complex exponent
-    rate = 2j * np.pi * freqs - 1.0 / np.asarray(t2s)
-    coeff = np.asarray(amplitudes) * np.exp(1j * np.asarray(phases))
-    return (coeff[:, None, :] @ np.exp(rate[:, :, None] * t))[:, 0, :]
+    # A line is exp(-t/t2 + 2j*pi*f*t).  Complex exp is libm's cexp, which
+    # returns exp(x)*cos(y) + 1j*exp(x)*sin(y), so one oscillation per line
+    # (x = 0) times one decay per distinct T2 (y = 0) gives it bit for bit.
+    t2_values, t2_index = np.unique(t2s, return_inverse=True)
+    t2_index = t2_index.reshape(np.shape(t2s))
+    decays = np.exp(np.outer(-1.0 / t2_values, t), dtype=np.complex128)
+    oscillations = np.exp(1j * np.outer(2 * np.pi * freqs, t))
+    # matmul sums in another order when a row's coefficients are not adjacent
+    coeff = np.multiply(amplitudes, np.exp(1j * np.asarray(phases)), order="C")
+    for end, size in zip(np.cumsum(sizes), sizes):
+        lines = decays[t2_index[:, end - size:end]]
+        lines *= oscillations[end - size:end]
+        fid = (coeff[:, None, end - size:end] @ lines)[:, 0, :]
+        del lines  # only one group's lines are held at a time
+        yield fid
 
 
 def _bin_order(n):

@@ -116,8 +116,12 @@ def _stream(seed, index, purpose):
 def _gaussian_bumps(axis, centers, fwhms, heights):
     """(rows, n) sums of Gaussian bumps on axis; centers, fwhms and heights are (rows, k)."""
     widths = fwhms / (2.0 * math.sqrt(math.log(2.0)))
-    dist = (axis - centers[:, :, None]) / widths[:, :, None]
-    return (heights[:, None, :] @ np.exp(-dist * dist))[:, 0, :]
+    # one temporary, worked in place: exp(-(d * d)) for d = (axis - center) / width
+    dist = axis - centers[:, :, None]
+    dist /= widths[:, :, None]
+    dist *= dist
+    np.negative(dist, out=dist)
+    return (heights[:, None, :] @ np.exp(dist, out=dist))[:, 0, :]
 
 
 def _max_abs_second_difference(rows):
@@ -193,8 +197,9 @@ def _lipids(params, reference_ppm, amplitudes, rngs):
         t2s.append(rngs[r].uniform(*_LIPID_T2_RANGE, size=len(_LIPID_SHIFTS_PPM)))
         # CH2 at 1.3 ppm dominates; the 0.9 ppm CH3 line gets a drawn fraction.
         rel.append([1.0, rngs[r].uniform(0.3, 0.8)])
-    fids = lorentzian_fids(params, reference_ppm, _LIPID_SHIFTS_PPM, np.array(rel), np.array(t2s), 0.0)
-    spectra = spectra_from_fids(fids)
+    (fid,) = lorentzian_fids(params, reference_ppm, _LIPID_SHIFTS_PPM, np.array(rel), np.array(t2s), 0.0,
+                             [len(_LIPID_SHIFTS_PPM)])
+    spectra = spectra_from_fids(fid)
     peak = np.max(np.abs(spectra), axis=1)
     out[rows] = spectra * (amplitudes[rows] / peak)[:, None]
     return out
@@ -219,10 +224,10 @@ def _add_noise(values, snrs, rngs):
             continue
         sigma = peak[r] / snr
         component_sigma = sigma / math.sqrt(2.0)
-        noise = rngs[r].normal(0.0, component_sigma, values.shape[1]) + 1j * rngs[r].normal(
-            0.0, component_sigma, values.shape[1]
-        )
-        values[r] = values[r] + noise
+        # the real part's draw comes first, then the imaginary part's
+        real, imag = values[r].real, values[r].imag
+        real += rngs[r].normal(0.0, component_sigma, values.shape[1])
+        imag += rngs[r].normal(0.0, component_sigma, values.shape[1])
 
 
 def add_noise(spec, snr, rng):

@@ -62,7 +62,7 @@ def make_dataset(n, seed, params=TRAIN_PARAMS, **overrides):
     basis = default_brain_basis(params)
     cfg = SimulationConfig(basis=basis, n_spectra=n, rng_seed=seed, **overrides)
     return dataset_from_labeled(
-        simulate_dataset(cfg), fileio.sim_config_to_dict(cfg), cfg.target_names
+        simulate_dataset(cfg, threads=2), fileio.sim_config_to_dict(cfg), cfg.target_names
     )
 
 
@@ -89,13 +89,13 @@ def test_dataset():
 @pytest.fixture(scope="session")
 def model_mf64_200(train_dataset):
     config = ForestConfig(n_trees=200, max_features=64, min_leaf_size=5, rng_seed=FOREST_SEED)
-    return _timed("train_mf64", lambda: train_model(train_dataset, config))
+    return _timed("train_mf64", lambda: train_model(train_dataset, config, threads=2))
 
 
 @pytest.fixture(scope="session")
 def model_mf4_200(train_dataset):
     config = ForestConfig(n_trees=200, max_features=4, min_leaf_size=5, rng_seed=FOREST_SEED)
-    return _timed("train_mf4", lambda: train_model(train_dataset, config))
+    return _timed("train_mf4", lambda: train_model(train_dataset, config, threads=2))
 
 
 @pytest.fixture(scope="session")

@@ -99,7 +99,7 @@ class TestLinearCombination:
     def test_single_entry_matches_render(self, basis):
         # the least-squares design matrix renders its columns this way
         combo = linear_combination(basis, {"NAA": 1.0})
-        direct = _metabolite_values(basis, "NAA", np.ones(1), np.ones(1))[0]
+        direct = next(_metabolite_values(basis, ["NAA"], np.ones((1, 1)), np.ones(1)))[0]
         assert np.array_equal(combo.values, direct)
 
     def test_additivity(self, basis):

@@ -9,6 +9,7 @@ from mrsquant.signal import (
     LorentzianComponent,
     TimeSignal,
     fid_to_spectrum,
+    lorentzian_fids,
     ppm_axis,
     spectrum_to_fid,
     synthesize_fid,
@@ -136,6 +137,38 @@ class TestSynthesizeFid:
     def test_signal_length_validation(self):
         with pytest.raises(ValidationError):
             TimeSignal(np.zeros(10, dtype=complex), PARAMS)
+
+
+class TestLorentzianFids:
+    @staticmethod
+    def one_exponential_per_line(params, shifts, amps, t2s, phases):
+        t = np.arange(params.n_points) / params.spectral_width
+        f = (shifts - REF) * params.transmitter_freq
+        coeff = amps * np.exp(1j * phases)
+        return (coeff[:, None, :] @ np.exp((2j * np.pi * f - 1 / t2s)[:, :, None] * t))[:, 0, :]
+
+    @pytest.mark.parametrize("params", [PARAMS, ODD_PARAMS])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_one_exponential_per_line_bit_for_bit(self, params, order, seed):
+        rng = np.random.default_rng(seed)
+        rows, sizes = 9, [1, 3, 2]
+        k = sum(sizes)
+        # shifts on both sides of the reference; rows share some T2s, and
+        # row 0 has a T2 of its own for every line
+        shifts = rng.uniform(0.5, 8.9, k)
+        amps = np.asarray(rng.uniform(0.0, 2.0, (rows, k)), order=order)
+        t2s = rng.choice([0.03, 0.1, 0.25], (rows, k))
+        t2s[0] = rng.uniform(0.02, 0.3, k)
+        phases = rng.uniform(-np.pi, np.pi, k)
+        fids = list(lorentzian_fids(params, REF, shifts, amps, t2s, phases, sizes))
+        assert len(fids) == len(sizes)
+        for fid, end, size in zip(fids, np.cumsum(sizes), sizes):
+            lines = slice(end - size, end)
+            expected = self.one_exponential_per_line(
+                params, shifts[lines], np.ascontiguousarray(amps[:, lines]), t2s[:, lines], phases[lines]
+            )
+            assert np.array_equal(fid.view(np.float64), expected.view(np.float64))
 
 
 class TestFidToSpectrum:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mrsquant.basis import default_brain_basis, linear_combination
+from mrsquant.basis import basis_from_dict, default_brain_basis, linear_combination
 from mrsquant.dataset import dataset_from_labeled
 from mrsquant.errors import ValidationError
 from mrsquant.signal import AcquisitionParams, ComplexSpectrum, ppm_axis
@@ -21,6 +21,14 @@ from mrsquant.simulate import (
 
 PARAMS = AcquisitionParams(spectral_width=2500.0, n_points=1024, transmitter_freq=127.7)
 BASIS = default_brain_basis(PARAMS)
+# A basis whose lines do not share one T2: NAA, Cr and Cho each have their
+# own, Cr's two lines differ, Cho shares Cr's first, and Cho has a phase.
+MULTI_T2 = {"metabolites": [
+    {"name": "NAA", "components": [{"shift_ppm": 2.01, "amplitude": 1.0, "t2_s": 0.12}]},
+    {"name": "Cr", "components": [{"shift_ppm": 3.03, "amplitude": 0.6, "t2_s": 0.1},
+                                  {"shift_ppm": 3.91, "amplitude": 0.4, "t2_s": 0.07}]},
+    {"name": "Cho", "components": [{"shift_ppm": 3.19, "amplitude": 1.0, "t2_s": 0.1, "phase0_rad": 0.3}]},
+]}
 
 
 def degenerate_config(n=1, seed=3, naa=2.0, cho=0.3, cr=1.0, snr=math.inf,
@@ -304,15 +312,19 @@ class TestSimulateDataset:
     # SHA-256 of Dataset.values (complex128 bytes), recorded before simulation
     # was batched, with numpy 2.4 on x86-64.  Seed 15 redraws the baseline of
     # rows 59 and 158 once each; seed 7 with zero baseline and lipid ranges
-    # and snr = inf draws neither and adds no noise.
-    @pytest.mark.parametrize("sw,n,seed,clean,digest", [
-        (2500.0, 1024, 15, False, "163995115a21e12902ea9dec6a5848425a4e0ad65180543c4d242556631d63ba"),
-        (2000.0, 400, 15, False, "e5a0866be5372ccaf49227367f2f595a6b51e3b3a3c5841d0236a576abbe6d37"),
-        (2500.0, 1024, 7, True, "8d71f75de6b9228a8de4ad6a4b68fccb9310df0f148a378a83fd519f95876ee5"),
-        (2000.0, 400, 7, True, "e47b5811b242eb4c322b4ba59a86e8090920de7c3f57457ee0f761e42bb2e4b0"),
+    # and snr = inf draws neither and adds no noise.  The MULTI_T2 digests
+    # were recorded while each line was still one complex exponential.
+    @pytest.mark.parametrize("sw,n,seed,clean,digest,lines", [
+        (2500.0, 1024, 15, False, "163995115a21e12902ea9dec6a5848425a4e0ad65180543c4d242556631d63ba", None),
+        (2000.0, 400, 15, False, "e5a0866be5372ccaf49227367f2f595a6b51e3b3a3c5841d0236a576abbe6d37", None),
+        (2500.0, 1024, 7, True, "8d71f75de6b9228a8de4ad6a4b68fccb9310df0f148a378a83fd519f95876ee5", None),
+        (2000.0, 400, 7, True, "e47b5811b242eb4c322b4ba59a86e8090920de7c3f57457ee0f761e42bb2e4b0", None),
+        (2500.0, 1024, 15, False, "f05b2f8849002cd43c86c05108b8f2cec06f475207eaebf725193701bff65f22", MULTI_T2),
+        (2000.0, 400, 15, False, "c1b78c8bec91a8bfd00db6ccdc7c967f814b0121167e01ba72948f74c77bad34", MULTI_T2),
     ])
-    def test_dataset_values_match_recorded_digests(self, sw, n, seed, clean, digest):
-        basis = default_brain_basis(AcquisitionParams(sw, n, 127.7), 4.7)
+    def test_dataset_values_match_recorded_digests(self, sw, n, seed, clean, digest, lines):
+        params = AcquisitionParams(sw, n, 127.7)
+        basis = default_brain_basis(params, 4.7) if lines is None else basis_from_dict(lines, params, 4.7)
         ranges = {}
         if clean:
             ranges = dict(snr_range=(math.inf, math.inf), baseline_amplitude_range=(0.0, 0.0),
