@@ -15,10 +15,11 @@ import numpy as np
 from . import fileio
 from .basis import basis_to_dict
 from .dataset import config_fingerprint, dataset_from_labeled
-from .errors import MrsQuantError, ValidationError, integer
+from .errors import MrsQuantError, ValidationError, integer, known_keys
 from .evaluate import ExperimentSpec, run_experiment
 from .forest import ForestConfig, fit_forest
 from .pipeline import build_feature_space, features_for_dataset, train_model
+from .signal import DEFAULT_REFERENCE_PPM
 from .simulate import simulate_dataset
 
 _TREE_WORKERS_HELP = "forked worker processes growing the trees; the output does not depend on it"
@@ -35,10 +36,7 @@ def resolve_threads(flag_value):
 
 def _sim_config(args, basis, file_cfg):
     """SimulationConfig from the --config document (or {}), the flags, the --basis basis and the defaults."""
-    cfg = {
-        "acquisition": dict(DEFAULT_ACQUISITION),
-        "reference_ppm": 4.7,
-    }
+    cfg = {"acquisition": dict(DEFAULT_ACQUISITION), "reference_ppm": DEFAULT_REFERENCE_PPM}
     cfg.update(file_cfg)
     cfg["rng_seed"] = args.seed
     if args.n_spectra is not None:
@@ -116,15 +114,15 @@ def cmd_predict(args):
 
 
 _FOREST_KEYS = ("n_trees", "max_features", "min_leaf_size", "max_depth", "rng_seed")
+_EXPERIMENT_KEYS = ("experiment", "seed", "forest", "k_folds", "baseline_degree", "preprocess", "datasets")
 
 
 def _experiment(doc):
     """(ExperimentSpec, {role: dataset path}, config fingerprint) from an evaluate config."""
     seed = integer("seed", doc["seed"], 0)  # checked before the forest's rng_seed, which defaults to it
+    known_keys("evaluate config", doc, _EXPERIMENT_KEYS)
     forest = {"n_trees": 100, "max_features": 64, "rng_seed": seed, **doc.get("forest", {})}
-    unknown = [k for k in forest if k not in _FOREST_KEYS]
-    if unknown:
-        raise ValidationError(f"unknown forest key {unknown[0]!r}; the keys are {', '.join(_FOREST_KEYS)}")
+    known_keys("forest", forest, _FOREST_KEYS)
     optional = {k: doc[k] for k in ("k_folds", "baseline_degree", "preprocess") if k in doc}
     spec = ExperimentSpec(doc.get("experiment"), ForestConfig(**forest), seed, **optional)
     given = doc.get("datasets", {})

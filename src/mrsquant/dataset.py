@@ -7,6 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import signal
 from .basis import basis_from_config
 from .errors import ValidationError
 from .signal import AcquisitionParams
@@ -22,7 +23,6 @@ def config_fingerprint(config_dict):
 class Dataset:
     params: AcquisitionParams
     reference_ppm: float
-    ppm_axis: np.ndarray
     values: np.ndarray  # (n_spectra, n_points) complex
     target_names: list
     labels: np.ndarray | None = None  # (n_spectra, n_targets)
@@ -32,11 +32,8 @@ class Dataset:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        self.ppm_axis = np.asarray(self.ppm_axis, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] != self.params.n_points:
             raise ValidationError("values must be (n_spectra, n_points)")
-        if self.ppm_axis.size != self.params.n_points:
-            raise ValidationError("ppm_axis length must equal n_points")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.float64)
             if self.labels.shape != (self.values.shape[0], len(self.target_names)):
@@ -44,6 +41,11 @@ class Dataset:
                     f"labels shape {self.labels.shape} must be (n_spectra, n_targets)="
                     f"({self.values.shape[0]}, {len(self.target_names)})"
                 )
+
+    @cached_property
+    def ppm_axis(self):
+        """The descending ppm axis of this acquisition, its centre bin at reference_ppm."""
+        return signal.ppm_axis(self.params, self.reference_ppm)
 
     @cached_property
     def basis(self):
@@ -77,8 +79,7 @@ def dataset_from_labeled(labeled, config_dict=None, target_names=None):
     labels = np.array([[ls.labels[t] for t in target_names] for ls in labeled])
     return Dataset(
         params=first.params,
-        reference_ppm=_reference_from_axis(first),
-        ppm_axis=first.ppm_axis,
+        reference_ppm=float(first.ppm_axis[first.params.n_points // 2]),  # the axis's centre bin is its reference
         values=values,
         target_names=list(target_names),
         labels=labels,
@@ -86,8 +87,3 @@ def dataset_from_labeled(labeled, config_dict=None, target_names=None):
         config=config_dict,
         fingerprint=config_fingerprint(config_dict) if config_dict is not None else None,
     )
-
-
-def _reference_from_axis(spec):
-    # The axis builder places the reference at bin n//2 exactly.
-    return float(spec.ppm_axis[spec.params.n_points // 2])

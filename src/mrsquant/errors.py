@@ -24,7 +24,7 @@ class UnsupportedVersionError(FileFormatError):
 
 
 class GridCompatibilityError(MrsQuantError):
-    """Spectra and model/basis grids do not match and preprocessing was not enabled."""
+    """Spectra and the model grid do not match and preprocessing was not enabled."""
 
     exit_code = 3
 
@@ -45,3 +45,10 @@ def integer(name, value, low):
     if isinstance(value, bool) or int(value) != value or value < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def known_keys(what, doc, keys):
+    """Raise ValidationError naming the first key of the mapping doc that is not in keys."""
+    unknown = [k for k in doc if k not in keys]
+    if unknown:
+        raise ValidationError(f"unknown {what} key {unknown[0]!r}; the keys are {', '.join(keys)}")

@@ -16,10 +16,11 @@ import numpy as np
 
 from .basis import basis_from_config, basis_from_dict, basis_to_dict
 from .dataset import Dataset, config_fingerprint
-from .errors import FileFormatError, MrsQuantError, UnsupportedVersionError, ValidationError
+from .errors import FileFormatError, MrsQuantError, UnsupportedVersionError, ValidationError, known_keys
 from .evaluate import EvalReport
 from .forest import ForestConfig, RandomForestModel, RegressionTree
 from .pipeline import FEATURE_KIND, FeatureMeta
+from .preprocess import grids_match
 from .signal import AcquisitionParams
 from .simulate import SNR_DEFINITION, SimulationConfig
 
@@ -142,10 +143,12 @@ def sim_config_to_dict(config):
 
 _RANGE_FIELDS = ("concentration_ranges", "t2_scale_range", "snr_range",
                  "baseline_amplitude_range", "lipid_amplitude_range")
+SIM_CONFIG_KEYS = ("n_spectra", "rng_seed", *_RANGE_FIELDS, "reference_ppm", "acquisition", "basis")
 
 
 def sim_config_from_dict(d):
-    """SimulationConfig from a config mapping; absent or null basis and ranges take the defaults."""
+    """SimulationConfig from a mapping of SIM_CONFIG_KEYS; absent or null basis and ranges take the defaults."""
+    known_keys("simulate config", d, SIM_CONFIG_KEYS)
     basis = basis_from_config(d, acquisition_from_dict(d["acquisition"]), d["reference_ppm"])
     ranges = {k: d[k] for k in _RANGE_FIELDS if d.get(k) is not None}
     return SimulationConfig(basis=basis, n_spectra=d["n_spectra"], rng_seed=d["rng_seed"], **ranges)
@@ -211,7 +214,6 @@ def read_dataset(path):
         dataset = Dataset(
             params=params,
             reference_ppm=data["reference_ppm"],
-            ppm_axis=np.asarray(data["ppm_axis"], dtype=np.float64),
             values=values,
             target_names=target_names,
             labels=labels,
@@ -219,6 +221,8 @@ def read_dataset(path):
             config=data.get("config"),
             fingerprint=data.get("fingerprint"),
         )
+        if not grids_match(data["ppm_axis"], dataset.ppm_axis):  # the axis every reader uses is derived
+            raise FileFormatError("stored ppm_axis is not the axis of the acquisition and reference_ppm")
         dataset.basis  # an embedded basis the oracle cannot build is refused here
         return dataset
 

@@ -60,7 +60,7 @@ def features_for_dataset(meta, dataset, allow_resample=False):
             f"grid ({meta.grid.size} points) and preprocessing is disabled"
         )
     else:
-        raw = (dataset.values @ dtft_matrix(dataset.ppm_axis, dataset.params, meta.grid).T).real
+        raw = (dataset.values @ dtft_matrix(dataset.params, dataset.reference_ppm, meta.grid).T).real
     return cr_normalize(raw, meta.grid)
 
 
@@ -100,9 +100,9 @@ def oracle_ratios(dataset, target_names, baseline_degree=4):
     if missing:
         raise ValidationError(f"oracle basis does not produce target {missing[0]!r}")
     cols = [ratio_cols[t] for t in target_names]
+    # the basis is rendered at the dataset's acquisition, so the window's mask indexes its grid too
     mask = _window_mask(dataset.ppm_axis, CROP_HI_PPM, CROP_LO_PPM)
-    conc = lsq_fit_batch(dataset.values[:, mask].real, basis, dataset.ppm_axis[mask],
-                         baseline_degree)
+    conc = lsq_fit_batch(dataset.values[:, mask].real, basis, mask, baseline_degree)
     cr = conc[:, basis.names.index("Cr")]
     ok = cr > 0
     est = np.full((dataset.n_spectra, len(cols)), np.nan)

@@ -22,8 +22,8 @@ CR_HI_PPM = 3.10
 CR_LO_PPM = 2.95
 
 
-def dtft_matrix(ppm_axis, params, target_grid):
-    """Complex (n_grid, n_points) map from spectra on ppm_axis to their DTFT at target_grid.
+def dtft_matrix(params, reference_ppm, target_grid):
+    """Complex (n_grid, n_points) map from spectra at params and reference_ppm to their DTFT at target_grid.
 
     Row g evaluates the discrete-time Fourier transform of the FID behind
     a spectrum (the inverse of ``fid_to_spectrum``) at the Hz offset of
@@ -33,10 +33,9 @@ def dtft_matrix(ppm_axis, params, target_grid):
     outside the source's Nyquist band raise GridCompatibilityError.
     """
     n = params.n_points
-    axis = np.asarray(ppm_axis, dtype=np.float64)
     target = np.asarray(target_grid, dtype=np.float64)
-    # DFT bin 0 (DC) sits at axis position n // 2; see signal._bin_order
-    hz = (target - axis[n // 2]) * params.transmitter_freq
+    # DFT bin 0 (DC) sits at the reference; see signal.ppm_axis
+    hz = (target - reference_ppm) * params.transmitter_freq
     half_band = params.spectral_width / 2.0
     if np.any(np.abs(hz) > half_band * (1.0 + 1e-12)):
         raise GridCompatibilityError(

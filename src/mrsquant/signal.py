@@ -114,14 +114,11 @@ def ppm_axis(params, reference_ppm=DEFAULT_REFERENCE_PPM):
 
     Position j holds the DFT frequency (n//2 - j) * sw/n (see _bin_order), so
     bin j sits at reference_ppm + ((n//2)*sw/n - j*sw/n) / transmitter_freq
-    and position n//2, the DC bin, is exactly the reference.  For even n the
-    first term is sw/2, which is how it is computed.
+    and position n//2, the DC bin, is exactly the reference.
     """
-    sw = params.spectral_width
-    n = params.n_points
-    j = np.arange(n)
-    top = sw / 2.0 if n % 2 == 0 else (n // 2) * (sw / n)
-    return reference_ppm + (top - j * (sw / n)) / params.transmitter_freq
+    step = params.spectral_width / params.n_points
+    j = np.arange(params.n_points)
+    return reference_ppm + ((params.n_points // 2) * step - j * step) / params.transmitter_freq
 
 
 def synthesize_fid(components, params, reference_ppm=DEFAULT_REFERENCE_PPM):

@@ -303,7 +303,7 @@ def test_criterion_6_cross_protocol(model_100, criterion4_results):
                    f"{cross_median:.4f} vs 2 x {matched:.4f}"))
 
     scaled = Dataset(
-        params=cross.params, reference_ppm=cross.reference_ppm, ppm_axis=cross.ppm_axis,
+        params=cross.params, reference_ppm=cross.reference_ppm,
         values=cross.values * 10.0, target_names=cross.target_names, labels=cross.labels,
     )
     est_scaled = predict_dataset(model_100, scaled, allow_resample=True)

@@ -189,7 +189,7 @@ class TestUnreadableDataset:
         values = ds.values.copy()
         values[7, np.argmin(np.abs(ds.ppm_axis - 2.0))] = np.nan
         bad = tmp_path / "nan.json"
-        fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, ds.ppm_axis, values,
+        fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, values,
                                           ds.target_names, ds.labels))
         assert self._train(tmp_path, bad) == 2
         assert "record 7" in capsys.readouterr().err
@@ -257,7 +257,7 @@ class TestPredict:
         # a constant offset drives every bin, the Cr window included, below zero
         values[2] -= 10.0 * np.max(np.abs(values[2]))
         bad = tmp_path / "bad.json"
-        fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, ds.ppm_axis, values,
+        fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, values,
                                           ds.target_names, ds.labels))
         out = tmp_path / "pred.csv"
         code = main(["predict", "--model", str(model_path), "--spectra", str(bad),
@@ -274,7 +274,7 @@ class TestPredict:
         # a bin inside the feature window, away from the Cr window (2.95-3.10 ppm)
         values[3, np.argmin(np.abs(ds.ppm_axis - 2.0))] = np.nan
         bad = tmp_path / "bad.json"
-        fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, ds.ppm_axis, values,
+        fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, values,
                                           ds.target_names, ds.labels))
         out = tmp_path / "pred.csv"
         code = main(["predict", "--model", str(model_path), "--spectra", str(bad),

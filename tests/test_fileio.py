@@ -12,7 +12,7 @@ from mrsquant.errors import FileFormatError, UnsupportedVersionError, Validation
 from mrsquant.evaluate import ExperimentSpec, run_experiment, summarize_errors
 from mrsquant.forest import ForestConfig
 from mrsquant.pipeline import features_for_dataset, train_model
-from mrsquant.signal import AcquisitionParams
+from mrsquant.signal import AcquisitionParams, ppm_axis
 from mrsquant.simulate import SimulationConfig, simulate_dataset
 
 PARAMS = AcquisitionParams(spectral_width=2500.0, n_points=256, transmitter_freq=127.7)
@@ -61,6 +61,7 @@ class TestDatasetFile:
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.target_names == ds.target_names
         assert loaded.fingerprint == ds.fingerprint
+        assert np.array_equal(loaded.ppm_axis, ppm_axis(loaded.params, loaded.reference_ppm))
         assert np.array_equal(loaded.ppm_axis, ds.ppm_axis)
         assert loaded.params == ds.params
 
@@ -76,7 +77,7 @@ class TestDatasetFile:
     def test_record_lines_are_the_json_of_each_record(self, tmp_path, with_labels):
         ds = small_dataset(n=4)
         if not with_labels:
-            ds = Dataset(ds.params, ds.reference_ppm, ds.ppm_axis, ds.values, ds.target_names)
+            ds = Dataset(ds.params, ds.reference_ppm, ds.values, ds.target_names)
         path = tmp_path / "data.json"
         fileio.write_dataset(path, ds)
         lines = path.read_text(encoding="utf-8").split("\n")
@@ -151,6 +152,13 @@ class TestDatasetFile:
         back = fileio.sim_config_from_dict(json.loads(text))
         assert back.snr_range == (math.inf, math.inf)
         assert back.concentration_ranges == cfg.concentration_ranges
+
+    def test_sim_config_keys_are_the_written_keys(self):
+        # sim_config_from_dict refuses any other key, so a written config always reads back
+        d = fileio.sim_config_to_dict(SimulationConfig(basis=BASIS, n_spectra=3, rng_seed=1))
+        assert tuple(d) == fileio.SIM_CONFIG_KEYS
+        with pytest.raises(ValidationError, match="unknown simulate config key 'snr_rnge'"):
+            fileio.sim_config_from_dict({**d, "snr_rnge": [1e9, 1e9]})
 
 
 class TestModelFile:

@@ -1,11 +1,13 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from mrsquant import fileio
 from mrsquant.basis import default_brain_basis, linear_combination
 from mrsquant.dataset import Dataset, dataset_from_labeled
-from mrsquant.errors import GridCompatibilityError, ValidationError
+from mrsquant.errors import FileFormatError, ValidationError
 from mrsquant.lsqfit import basis_design_matrix, lsq_fit_batch, polynomial_columns
 from mrsquant.pipeline import oracle_ratios
 from mrsquant.signal import AcquisitionParams, ComplexSpectrum, ppm_axis
@@ -15,37 +17,32 @@ PARAMS = AcquisitionParams(spectral_width=2500.0, n_points=1024, transmitter_fre
 BASIS = default_brain_basis(PARAMS)
 TRUTH = {"NAA": 1.2, "Cr": 0.9, "Cho": 0.3}
 TARGETS = ["Cho/Cr", "NAA/Cr"]
+ALL = np.arange(PARAMS.n_points)
+# the quantification window, a mask as the pipeline passes it
+WINDOW = (ppm_axis(PARAMS) >= 0.2) & (ppm_axis(PARAMS) <= 4.3)
 
 
 def clean_spectrum(concentrations=None):
     return linear_combination(BASIS, concentrations or TRUTH)
 
 
-def fit(spec, degree=4):
-    """{metabolite: concentration} of one spectrum, solved as a batch of one row."""
-    theta = lsq_fit_batch(spec.values.real[None, :], BASIS, spec.ppm_axis, degree)[0]
+def fit(spec, degree=4, bins=ALL):
+    """{metabolite: concentration} of one spectrum's bins, solved as a batch of one row."""
+    theta = lsq_fit_batch(spec.values.real[None, bins], BASIS, bins, degree)[0]
     return dict(zip(BASIS.names, theta))
 
 
-def window(spec, hi=4.3, lo=0.2):
-    """The spectrum's bins inside [lo, hi] ppm, cropped with a mask as the pipeline does."""
-    mask = (spec.ppm_axis >= lo) & (spec.ppm_axis <= hi)
-    kept = int(mask.sum())
-    params = AcquisitionParams(spec.params.spectral_width * kept / spec.params.n_points, kept,
-                               spec.params.transmitter_freq)
-    return ComplexSpectrum(spec.values[mask], spec.ppm_axis[mask], params)
-
-
-def design(axis, degree):
-    return np.hstack([basis_design_matrix(BASIS, axis), polynomial_columns(axis.size, degree)])
+def design(bins, degree):
+    B = basis_design_matrix(BASIS, bins)
+    return np.hstack([B, polynomial_columns(B.shape[0], degree)])
 
 
 def dataset_of(values):
-    return Dataset(PARAMS, BASIS.reference_ppm, ppm_axis(PARAMS), values, TARGETS)
+    return Dataset(PARAMS, BASIS.reference_ppm, values, TARGETS)
 
 
 def with_values(data, values):
-    return Dataset(data.params, data.reference_ppm, data.ppm_axis, values, data.target_names)
+    return Dataset(data.params, data.reference_ppm, values, data.target_names)
 
 
 def simulated(n, seed):
@@ -62,21 +59,21 @@ class TestLsqFit:
         assert conc["Glx"] == pytest.approx(0.0, abs=1e-6)
 
     def test_exact_recovery_on_cropped_window(self):
-        conc = fit(window(clean_spectrum()), 4)
+        conc = fit(clean_spectrum(), 4, WINDOW)
         for name, value in TRUTH.items():
             assert conc[name] == pytest.approx(value, abs=1e-6)
 
     def test_zero_spectrum_gives_zero_fit(self):
         spec = ComplexSpectrum(np.zeros(1024, dtype=complex), ppm_axis(PARAMS), PARAMS)
-        theta = lsq_fit_batch(spec.values.real[None, :], BASIS, spec.ppm_axis)
+        theta = lsq_fit_batch(spec.values.real[None, :], BASIS, ALL)
         assert theta.shape == (1, len(BASIS.names) + 5)
         assert np.all(np.abs(theta) <= 1e-12)
 
     def test_residual_tracks_injected_noise(self):
         spec = clean_spectrum()
         noisy = add_noise(spec, 20.0, np.random.default_rng(8))
-        theta = lsq_fit_batch(noisy.values.real[None, :], BASIS, noisy.ppm_axis, 0)[0]
-        residual_norm = np.linalg.norm(noisy.values.real - design(noisy.ppm_axis, 0) @ theta)
+        theta = lsq_fit_batch(noisy.values.real[None, :], BASIS, ALL, 0)[0]
+        residual_norm = np.linalg.norm(noisy.values.real - design(ALL, 0) @ theta)
         noise_norm = np.linalg.norm((noisy.values - spec.values).real)
         assert residual_norm > 0
         assert abs(residual_norm - noise_norm) <= 0.2 * noise_norm
@@ -91,26 +88,31 @@ class TestLsqFit:
 
     def test_residual_orthogonal_to_design(self):
         noisy = add_noise(clean_spectrum(), 15.0, np.random.default_rng(3))
-        spec = window(noisy)
-        A = design(spec.ppm_axis, 4)
-        theta = lsq_fit_batch(spec.values.real[None, :], BASIS, spec.ppm_axis, 4)[0]
-        residual = spec.values.real - A @ theta
+        rows = noisy.values.real[WINDOW]
+        A = design(WINDOW, 4)
+        theta = lsq_fit_batch(rows[None, :], BASIS, WINDOW, 4)[0]
+        residual = rows - A @ theta
         bound = 1e-8 * max(np.linalg.norm(residual), 1.0) * np.max(np.linalg.norm(A, axis=0))
         assert np.max(np.abs(A.T @ residual)) <= bound
 
-    def test_grid_mismatch_raises(self):
-        other = AcquisitionParams(2000.0, 400, 127.7)
-        spec = linear_combination(default_brain_basis(other), TRUTH)
-        with pytest.raises(GridCompatibilityError, match="render the basis"):
-            fit(spec)
+    def test_grid_mismatch_raises(self, tmp_path):
+        # the oracle fits a dataset on the grid of a basis rendered at the dataset's own
+        # acquisition; a file whose stored axis leaves that grid is refused when it is read
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, dataset_of([clean_spectrum().values]))
+        doc = json.loads(path.read_text())
+        doc["ppm_axis"] = [v + 0.05 for v in doc["ppm_axis"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="stored ppm_axis"):
+            fileio.read_dataset(path)
 
     def test_batch_matches_single(self):
         specs = [
             add_noise(clean_spectrum(), 25.0, np.random.default_rng(i)) for i in range(4)
         ]
         rows = np.stack([s.values.real for s in specs])
-        batch = lsq_fit_batch(rows, BASIS, specs[0].ppm_axis, baseline_degree=2)
-        A = design(specs[0].ppm_axis, 2)
+        batch = lsq_fit_batch(rows, BASIS, ALL, baseline_degree=2)
+        A = design(ALL, 2)
         for row, theta in zip(rows, batch):
             reference = np.linalg.lstsq(A, row, rcond=None)[0]
             assert np.allclose(theta, reference, rtol=1e-8, atol=1e-10)
@@ -120,7 +122,7 @@ class TestLsqFit:
         rows = np.stack([clean_spectrum().values.real] * 3)
         rows[1, 100] = bad
         with pytest.raises(ValidationError, match="row 1"):
-            lsq_fit_batch(rows, BASIS, ppm_axis(PARAMS))
+            lsq_fit_batch(rows, BASIS, ALL)
 
     @pytest.mark.parametrize("degree", [-1, 1.5])
     def test_bad_baseline_degree_refused(self, degree):

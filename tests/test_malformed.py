@@ -102,6 +102,14 @@ def first(value):
     return lambda a: [value] + a[1:]
 
 
+def shifted_axis(doc):
+    doc["ppm_axis"] = [v + 0.05 for v in doc["ppm_axis"]]
+
+
+def reversed_axis(doc):
+    doc["ppm_axis"] = doc["ppm_axis"][::-1]
+
+
 def root_is_its_own_child(doc):
     t = tree(doc)
     t["left"][0] = t["right"][0] = 0
@@ -112,6 +120,8 @@ DATASET_EDITS = {
     "n_points=null": set_at(["acquisition", "n_points"], None),
     "labels=[1,2]": set_at(["records", 0, "labels"], [1, 2]),
     "ppm_axis=abc": set_at(["ppm_axis"], "abc"),
+    "ppm_axis+0.05": shifted_axis,
+    "ppm_axis-reversed": reversed_axis,
     "target_names=null": set_at(["target_names"], None),
 }
 
@@ -137,12 +147,14 @@ SIMULATE_CONFIGS = {
     "acquisition=5": {"acquisition": 5},
     "no-n_points": {"acquisition": {k: v for k, v in ACQ.items() if k != "n_points"}},
     "snr_range=5": {"acquisition": ACQ, "snr_range": 5},
+    "snr_rnge": {"acquisition": ACQ, "snr_rnge": [1e9, 1e9]},
     "list": [1, 2],
 }
 
 EVALUATE_CONFIGS = {
     "forest=5": lambda doc: {**doc, "forest": 5},
     "datasets=5": lambda doc: {**doc, "datasets": 5},
+    "k_fold=3": lambda doc: {**doc, "k_fold": 3},
     "list": lambda doc: [],
 }
 
@@ -161,6 +173,18 @@ def predict_argv(valid, model, spectra):
 def test_malformed_dataset_exits_2(valid, tmp_path, capsys, name):
     bad = edited(valid["dataset"], tmp_path / "bad.json", DATASET_EDITS[name])
     exits_2_naming(predict_argv(valid, valid["model"], bad), bad, capsys)
+
+
+@pytest.mark.parametrize("edit", [shifted_axis, reversed_axis])
+def test_stored_axis_off_the_acquisition_exits_2_in_every_command(valid, tmp_path, capsys, edit):
+    bad = edited(valid["dataset"], tmp_path / "bad.json", edit)
+    exits_2_naming(["train", "--dataset", bad, "--output", str(tmp_path / "m.json"), "--seed", "1"],
+                   bad, capsys)
+    exits_2_naming(predict_argv(valid, valid["model"], bad), bad, capsys)
+    exits_2_naming(predict_argv(valid, valid["model"], bad) + ["--preprocess"], bad, capsys)
+    cfg = json_file(tmp_path / "exp.json", {**valid["evaluate"],
+                                            "datasets": {"train": bad, "test": str(valid["dataset"])}})
+    exits_2_naming(["evaluate", "--config", cfg, "--output", str(tmp_path / "r.json")], bad, capsys)
 
 
 @pytest.mark.parametrize("name", MODEL_EDITS)
@@ -213,6 +237,9 @@ BUILT_REFUSALS = {
     "evaluate n_trees=0": ("evaluate", set_at(["forest", "n_trees"], 0), "n_trees must be"),
     "evaluate seed=3.5": ("evaluate", without_forest_seed, "seed must be an integer >= 0, got 3.5"),
     "simulate snr_range=[0,5]": ("simulate", set_at(["snr_range"], [0, 5]), "snr_range"),
+    "simulate snr_rnge": ("simulate", set_at(["snr_rnge"], [1e9, 1e9]),
+                          "unknown simulate config key 'snr_rnge'"),
+    "evaluate k_fold": ("evaluate", set_at(["k_fold"], 3), "unknown evaluate config key 'k_fold'"),
 }
 
 

@@ -19,8 +19,7 @@ def simulated(params, n, seed):
 
 
 def with_values(dataset, values):
-    return Dataset(dataset.params, dataset.reference_ppm, dataset.ppm_axis, values,
-                   dataset.target_names, dataset.labels)
+    return Dataset(dataset.params, dataset.reference_ppm, values, dataset.target_names, dataset.labels)
 
 
 def noiseless(params, t2):
@@ -28,7 +27,7 @@ def noiseless(params, t2):
     comps = [LorentzianComponent(2.01, 1.3, t2), LorentzianComponent(3.03, 0.6, t2),
              LorentzianComponent(3.91, 0.4, t2), LorentzianComponent(3.19, 0.3, t2)]
     spec = fid_to_spectrum(synthesize_fid(comps, params, 4.7), 4.7)
-    return Dataset(params, 4.7, spec.ppm_axis, spec.values[None, :], ["NAA/Cr"])
+    return Dataset(params, 4.7, spec.values[None, :], ["NAA/Cr"])
 
 
 @pytest.fixture(scope="module")

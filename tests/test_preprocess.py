@@ -29,7 +29,7 @@ def example_spectrum(params=TRAIN_PARAMS):
 
 def example_dataset(params=TRAIN_PARAMS):
     spec = example_spectrum(params)
-    return Dataset(params, 4.7, spec.ppm_axis, spec.values[None, :], [])
+    return Dataset(params, 4.7, spec.values[None, :], [])
 
 
 class TestCrop:
@@ -56,7 +56,7 @@ class TestCrop:
         params = AcquisitionParams(TRAIN_PARAMS.spectral_width * kept / TRAIN_PARAMS.n_points, kept,
                                    TRAIN_PARAMS.transmitter_freq)
         window = (data.ppm_axis >= 0.2) & (data.ppm_axis <= 4.3)
-        cropped = Dataset(params, 4.7, meta.grid, data.values[:, window], [])
+        cropped = Dataset(params, meta.grid[kept // 2], data.values[:, window], [])
         assert np.array_equal(features_for_dataset(meta, cropped), X)
 
     def test_bin_width_preserved(self):
@@ -77,7 +77,7 @@ class TestDtft:
     @pytest.mark.parametrize("params", [TRAIN_PARAMS, MRSI_PARAMS, AcquisitionParams(2000.0, 401, 127.7)])
     def test_source_axis_is_identity(self, params):
         spec = example_spectrum(params)
-        out = dtft_matrix(spec.ppm_axis, params, spec.ppm_axis) @ spec.values
+        out = dtft_matrix(params, 4.7, spec.ppm_axis) @ spec.values
         rel = np.max(np.abs(out - spec.values)) / np.max(np.abs(spec.values))
         assert rel <= 1e-9
 
@@ -87,7 +87,7 @@ class TestDtft:
         padded = np.concatenate([spectrum_to_fid(spec).samples, np.zeros(3 * n)])
         fine = AcquisitionParams(MRSI_PARAMS.spectral_width, 4 * n, MRSI_PARAMS.transmitter_freq)
         zero_filled = fid_to_spectrum(TimeSignal(padded, fine), 4.7)
-        out = dtft_matrix(spec.ppm_axis, MRSI_PARAMS, zero_filled.ppm_axis) @ spec.values
+        out = dtft_matrix(MRSI_PARAMS, 4.7, zero_filled.ppm_axis) @ spec.values
         rel = np.max(np.abs(out - zero_filled.values)) / np.max(np.abs(zero_filled.values))
         assert rel <= 1e-9
 
@@ -95,7 +95,7 @@ class TestDtft:
         spec = example_spectrum(MRSI_PARAMS)
         beyond = spec.ppm_axis[0] + MRSI_PARAMS.spectral_width / MRSI_PARAMS.n_points / 127.7
         with pytest.raises(GridCompatibilityError):
-            dtft_matrix(spec.ppm_axis, MRSI_PARAMS, np.array([beyond]))
+            dtft_matrix(MRSI_PARAMS, 4.7, np.array([beyond]))
 
 
 class TestCrNormalize:

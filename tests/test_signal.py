@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mrsquant.dataset import _reference_from_axis
 from mrsquant.errors import ValidationError
 from mrsquant.signal import (
     AcquisitionParams,
@@ -86,8 +85,14 @@ class TestPpmAxis:
         assert axis[1024 // 2] == pytest.approx(REF, abs=1e-12)
 
     def test_odd_length_reference_sits_exactly_on_center_bin(self):
-        spec = ComplexSpectrum(np.zeros(401), ppm_axis(ODD_PARAMS, REF), ODD_PARAMS)
-        assert _reference_from_axis(spec) == REF
+        assert ppm_axis(ODD_PARAMS, REF)[401 // 2] == REF
+
+    @pytest.mark.parametrize("sw", [2000.0, 2500.0])
+    def test_reference_sits_exactly_on_center_bin_for_every_length(self, sw):
+        # (n // 2) * (sw / n) minus itself is exactly 0; sw / 2 in its place is not, e.g. at n = 278
+        for n in range(2, 3000):
+            params = AcquisitionParams(spectral_width=sw, n_points=n, transmitter_freq=127.7)
+            assert ppm_axis(params, REF)[n // 2] == REF, n
 
     @pytest.mark.parametrize("sw,n", [(2500.0, 1024), (2000.0, 400), (2000.0, 401), (2500.0, 1023)])
     def test_bins_labeled_with_their_dft_frequency(self, sw, n):
