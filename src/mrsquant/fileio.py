@@ -20,8 +20,7 @@ from .errors import FileFormatError, MrsQuantError, UnsupportedVersionError, Val
 from .evaluate import EvalReport
 from .forest import ForestConfig, RandomForestModel, RegressionTree
 from .pipeline import FEATURE_KIND, FeatureMeta
-from .preprocess import grids_match
-from .signal import AcquisitionParams
+from .signal import AcquisitionParams, grids_match
 from .simulate import SNR_DEFINITION, SimulationConfig
 
 FORMAT_VERSION = 1
@@ -66,6 +65,13 @@ def load_json(path, build, expected_format=None):
 
 def encode_spectrum(values):
     return base64.b64encode(np.ascontiguousarray(values, dtype="<c16").tobytes()).decode("ascii")
+
+
+def _write_header(f, header):
+    """Open a JSON object on f and write one key: value line per header entry."""
+    f.write("{\n")
+    for key, val in header.items():
+        f.write(f"{json.dumps(key)}: {json.dumps(val)},\n")
 
 
 def decode_spectrum(text, n_points):
@@ -170,9 +176,7 @@ def write_dataset(path, dataset):
     }
     n = dataset.n_spectra
     with open(path, "w", encoding="utf-8") as f:
-        f.write("{\n")
-        for key, val in header.items():
-            f.write(f"{json.dumps(key)}: {json.dumps(val)},\n")
+        _write_header(f, header)
         f.write('"records": [\n')
         for i in range(n):
             rec = {
@@ -207,8 +211,12 @@ def read_dataset(path):
         if bad.size:
             raise FileFormatError(f"record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
                                   f"{bad.size} records do")
+        labelled = [r.get("labels") is not None for r in records]
+        if len(set(labelled)) > 1:
+            raise FileFormatError(f"record {labelled.index(not labelled[0])} and record 0 "
+                                  "disagree on carrying labels")
         labels = None
-        if all(r.get("labels") for r in records) and target_names:
+        if labelled[0] and target_names:
             labels = [[r["labels"][t] for t in target_names] for r in records]
         truth = [r.get("truth_params") for r in records]
         dataset = Dataset(
@@ -269,7 +277,7 @@ def write_model(path, model):
         "config": dataclasses.asdict(model.config),
         "target_names": list(model.target_names),
         "feature": {
-            "kind": meta.kind,
+            "kind": FEATURE_KIND,
             "crop_hi_ppm": meta.crop_hi,
             "crop_lo_ppm": meta.crop_lo,
             "acquisition": acquisition_to_dict(meta.acquisition),
@@ -281,9 +289,7 @@ def write_model(path, model):
         },
     }
     with open(path, "w", encoding="utf-8") as f:
-        f.write("{\n")
-        for key, val in header.items():
-            f.write(f"{json.dumps(key)}: {json.dumps(val)},\n")
+        _write_header(f, header)
         f.write('"forests": {\n')
         for t, name in enumerate(model.target_names):
             f.write(f"{json.dumps(name)}: [\n")
@@ -307,7 +313,6 @@ def read_model(path):
             crop_hi=float(fdict["crop_hi_ppm"]),
             crop_lo=float(fdict["crop_lo_ppm"]),
             acquisition=acquisition_from_dict(fdict["acquisition"]),
-            kind=fdict["kind"],
         )
         target_names = list(data["target_names"])
         forests = [[_tree_from_dict(name, i, t) for i, t in enumerate(data["forests"][name])]
@@ -357,15 +362,13 @@ def write_samples_csv(path, report):
                     "relative_error", "config_fingerprint"])
         for name in report.target_names:
             block = report.per_sample[name]
-            for i, (t, e, err) in enumerate(
-                zip(block["truth"], block["forest_estimate"], block["forest_error"])
-            ):
-                w.writerow([name, i, "forest", repr(t), repr(e), repr(err), fingerprint])
-            if block.get("oracle_estimate") is not None:
+            for estimator in ("forest", "oracle"):
+                if block.get(f"{estimator}_estimate") is None:
+                    continue
                 for i, (t, e, err) in enumerate(
-                    zip(block["truth"], block["oracle_estimate"], block["oracle_error"])
+                    zip(block["truth"], block[f"{estimator}_estimate"], block[f"{estimator}_error"])
                 ):
-                    w.writerow([name, i, "oracle", repr(t), repr(e), repr(err), fingerprint])
+                    w.writerow([name, i, estimator, repr(t), repr(e), repr(err), fingerprint])
 
 
 def write_oob_csv(path, entries, fingerprint):

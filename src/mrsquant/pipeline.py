@@ -2,20 +2,28 @@
 
 The forest's feature representation: the real part of the spectrum on the
 model grid (the training acquisition's bins inside the quantification
-window), each row divided by its own Cr peak.  Spectra from another
-acquisition protocol reach the model grid through their exact DTFT, one
-matrix product for the whole dataset.
+window), each row divided by its own Cr peak, so features are ratios to Cr
+like the labels.  Spectra from another acquisition protocol reach the model
+grid through their exact DTFT (``dtft_matrix``), one matrix product for the
+whole dataset, which keeps every peak's height.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridCompatibilityError, ValidationError
+from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
 from .forest import fit_forest
 from .lsqfit import lsq_fit_batch
-from .preprocess import CROP_HI_PPM, CROP_LO_PPM, cr_normalize, dtft_matrix, grids_match
+from .signal import _bin_order, grids_match
 
+# Quantification window in ppm, downfield bound first.
+CROP_HI_PPM = 4.3
+CROP_LO_PPM = 0.2
+# Creatine window in ppm around the 3.03 ppm Cr line; its maximum is the
+# normalizer of every feature row (8 bins of a 2500 Hz / 1024-point grid).
+CR_HI_PPM = 3.10
+CR_LO_PPM = 2.95
 # Names the feature normalization; model files carrying any other kind are refused.
 FEATURE_KIND = "real_cr_normalized"
 
@@ -28,21 +36,75 @@ class FeatureMeta:
     crop_hi: float
     crop_lo: float
     acquisition: object
-    kind: str = FEATURE_KIND
 
 
-def _window_mask(axis, hi, lo):
-    mask = (axis >= lo) & (axis <= hi)
+def dtft_matrix(params, reference_ppm, target_grid):
+    """Complex (n_grid, n_points) map from spectra at params and reference_ppm to their DTFT at target_grid.
+
+    Row g evaluates the discrete-time Fourier transform of the FID behind
+    a spectrum (the inverse of ``fid_to_spectrum``) at the Hz offset of
+    target_grid[g], so ``values @ W.T`` regrids a whole batch of spectra
+    with no interpolation error.  On the source axis itself W is the
+    identity; on a finer grid it reproduces a zero-filled FFT.  Grid points
+    outside the source's Nyquist band raise GridCompatibilityError.
+    """
+    n = params.n_points
+    target = np.asarray(target_grid, dtype=np.float64)
+    # DFT bin 0 (DC) sits at the reference; see signal.ppm_axis
+    hz = (target - reference_ppm) * params.transmitter_freq
+    half_band = params.spectral_width / 2.0
+    if np.any(np.abs(hz) > half_band * (1.0 + 1e-12)):
+        raise GridCompatibilityError(
+            f"target grid [{target.min():.4f}, {target.max():.4f}] ppm exceeds the "
+            f"{params.spectral_width:g} Hz band of the spectrum"
+        )
+    fid_to_grid = np.exp(-2j * np.pi * np.outer(hz, np.arange(n)) / params.spectral_width)
+    # compose with spectrum -> FID: fid = ifft(values placed at DFT bins _bin_order(n))
+    return np.fft.ifft(fid_to_grid, axis=1)[:, _bin_order(n)]
+
+
+def cr_normalize(rows, grid):
+    """Real feature rows on grid, each divided by its own Cr peak.
+
+    The Cr peak is the row's maximum over the bins of grid inside
+    [CR_LO_PPM, CR_HI_PPM].  A peak that is not > 0 (NaN included) makes
+    the ratio undefined and raises UndefinedResultError; it is never
+    divided through.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
+    window = (grid >= CR_LO_PPM) & (grid <= CR_HI_PPM)
+    if not window.any():
+        raise GridCompatibilityError(
+            f"Cr window [{CR_LO_PPM}, {CR_HI_PPM}] ppm holds no bin of the feature grid"
+        )
+    peaks = np.max(rows[:, window], axis=1)
+    bad = np.flatnonzero(~(peaks > 0))
+    if bad.size:
+        raise UndefinedResultError(
+            f"{bad.size} spectra have no positive Cr peak in [{CR_LO_PPM}, {CR_HI_PPM}] ppm "
+            f"(first: index {bad[0]}, peak {peaks[bad[0]]:.4g}); Cr ratios are undefined"
+        )
+    return rows / peaks[:, None]
+
+
+def _window_mask(axis):
+    mask = (axis >= CROP_LO_PPM) & (axis <= CROP_HI_PPM)
     if not mask.any():
-        raise GridCompatibilityError(f"window [{lo}, {hi}] ppm does not overlap the dataset axis")
+        raise GridCompatibilityError(
+            f"window [{CROP_LO_PPM}, {CROP_HI_PPM}] ppm does not overlap the dataset axis"
+        )
     return mask
 
 
-def build_feature_space(dataset, hi=CROP_HI_PPM, lo=CROP_LO_PPM):
-    """Feature matrix for a training dataset plus the metadata to reuse it."""
-    mask = _window_mask(dataset.ppm_axis, hi, lo)
-    meta = FeatureMeta(dataset.ppm_axis[mask], hi, lo, dataset.params)
-    return meta, cr_normalize(dataset.values[:, mask].real, meta.grid)
+def build_feature_space(dataset):
+    """Feature matrix for a training dataset plus the metadata to reuse it.
+
+    The model grid is the dataset's bins inside the quantification window.
+    """
+    mask = _window_mask(dataset.ppm_axis)
+    meta = FeatureMeta(dataset.ppm_axis[mask], CROP_HI_PPM, CROP_LO_PPM, dataset.params)
+    return meta, features_for_dataset(meta, dataset)
 
 
 def features_for_dataset(meta, dataset, allow_resample=False):
@@ -101,7 +163,7 @@ def oracle_ratios(dataset, target_names, baseline_degree=4):
         raise ValidationError(f"oracle basis does not produce target {missing[0]!r}")
     cols = [ratio_cols[t] for t in target_names]
     # the basis is rendered at the dataset's acquisition, so the window's mask indexes its grid too
-    mask = _window_mask(dataset.ppm_axis, CROP_HI_PPM, CROP_LO_PPM)
+    mask = _window_mask(dataset.ppm_axis)
     conc = lsq_fit_batch(dataset.values[:, mask].real, basis, mask, baseline_degree)
     cr = conc[:, basis.names.index("Cr")]
     ok = cr > 0

@@ -121,6 +121,13 @@ def ppm_axis(params, reference_ppm=DEFAULT_REFERENCE_PPM):
     return reference_ppm + ((params.n_points // 2) * step - j * step) / params.transmitter_freq
 
 
+def grids_match(a, b, tol=1e-9):
+    """Whether two ppm axes have the same length and agree within tol at every bin."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= tol))
+
+
 def synthesize_fid(components, params, reference_ppm=DEFAULT_REFERENCE_PPM):
     """Sum of damped complex exponentials sampled at the acquisition dwell time.
 

@@ -171,6 +171,13 @@ class TestUnreadableDataset:
         return main(["train", "--dataset", str(data), "--output", str(tmp_path / "m.json"),
                      "--seed", "1", "--trees", "1", "--max-features", "8"])
 
+    def _evaluate(self, tmp_path, data):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"experiment": "real-real-spectra", "seed": 3, "k_folds": 2,
+                                   "forest": {"n_trees": 1, "max_features": 8},
+                                   "datasets": {"data": str(data)}}))
+        return main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")])
+
     def test_missing_acquisition_exits_2(self, tmp_path, capsys):
         bad = self._rewritten(tmp_path, simulate(tmp_path, n=6), lambda doc: doc.pop("acquisition"))
         assert self._train(tmp_path, bad) == 2
@@ -193,13 +200,19 @@ class TestUnreadableDataset:
                                           ds.target_names, ds.labels))
         assert self._train(tmp_path, bad) == 2
         assert "record 7" in capsys.readouterr().err
-        cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({"experiment": "real-real-spectra", "seed": 3, "k_folds": 2,
-                                   "forest": {"n_trees": 1, "max_features": 8},
-                                   "datasets": {"data": str(bad)}}))
-        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 2
+        assert self._evaluate(tmp_path, bad) == 2
         assert "record 7" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_one_unlabeled_record_exits_2_naming_it(self, tmp_path, capsys):
+        def unlabel(doc):
+            doc["records"][5]["labels"] = None
+
+        bad = self._rewritten(tmp_path, simulate(tmp_path, n=8), unlabel)
+        for run in (self._train, self._evaluate):
+            assert run(tmp_path, bad) == 2
+            err = capsys.readouterr().err
+            assert str(bad) in err and "record 5" in err
 
     def test_bootstrap_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

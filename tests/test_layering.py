@@ -5,7 +5,9 @@ header and is the usual way a cycle gets papered over.  Integer fields are
 checked by errors.integer alone, so no module keeps its own copy of the
 check.  A refused file is named by fileio.load_json alone, and an error's exit
 code is its class's exit_code, so cli catches no single error class.  The
-modules are read with ast, not imported.
+feature representation (window, Cr divisor, DTFT regridding and its kind
+name) is defined in pipeline alone.  The modules are read with ast, not
+imported.
 """
 
 import ast
@@ -123,3 +125,23 @@ def test_cli_catches_no_single_error_class():
               for node in ast.walk(_tree("cli")) if isinstance(node, ast.ExceptHandler) and node.type
               for name in ast.walk(node.type)]
     assert sorted(subclasses.intersection(caught)) == []
+
+
+FEATURE_DECISION = ("CROP_HI_PPM", "CROP_LO_PPM", "CR_HI_PPM", "CR_LO_PPM", "FEATURE_KIND",
+                    "cr_normalize", "dtft_matrix")
+
+
+def _defined(tree):
+    """Names a module binds at its top level by assignment or def."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target]):
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_feature_decision_lives_in_pipeline():
+    owners = {name: [module for module in MODULES if name in set(_defined(_tree(module)))]
+              for name in FEATURE_DECISION}
+    assert owners == {name: ["pipeline"] for name in FEATURE_DECISION}

@@ -123,6 +123,7 @@ DATASET_EDITS = {
     "ppm_axis+0.05": shifted_axis,
     "ppm_axis-reversed": reversed_axis,
     "target_names=null": set_at(["target_names"], None),
+    "record-5-labels=null": set_at(["records", 5, "labels"], None),
 }
 
 # a tree that fails the RegressionTree checks is refused with that check's message too

@@ -4,8 +4,7 @@ import pytest
 from mrsquant.basis import default_brain_basis
 from mrsquant.dataset import Dataset, dataset_from_labeled
 from mrsquant.errors import GridCompatibilityError, UndefinedResultError
-from mrsquant.pipeline import FEATURE_KIND, build_feature_space, features_for_dataset
-from mrsquant.preprocess import CR_HI_PPM, CR_LO_PPM
+from mrsquant.pipeline import CR_HI_PPM, CR_LO_PPM, build_feature_space, features_for_dataset
 from mrsquant.signal import AcquisitionParams, LorentzianComponent, fid_to_spectrum, synthesize_fid
 from mrsquant.simulate import SimulationConfig, simulate_dataset
 
@@ -43,7 +42,6 @@ def mrsi():
 class TestFeatureSpace:
     def test_rows_divided_by_own_cr_peak(self, train):
         meta, X = build_feature_space(train)
-        assert meta.kind == FEATURE_KIND
         window = (meta.grid >= CR_LO_PPM) & (meta.grid <= CR_HI_PPM)
         assert int(window.sum()) == 8
         assert np.array_equal(X[:, window].max(axis=1), np.ones(train.n_spectra))

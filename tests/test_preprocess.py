@@ -4,12 +4,13 @@ import pytest
 from mrsquant.basis import default_brain_basis, linear_combination
 from mrsquant.dataset import Dataset
 from mrsquant.errors import GridCompatibilityError, UndefinedResultError
-from mrsquant.pipeline import build_feature_space, features_for_dataset
-from mrsquant.preprocess import (
+from mrsquant.pipeline import (
     CR_HI_PPM,
     CR_LO_PPM,
+    build_feature_space,
     cr_normalize,
     dtft_matrix,
+    features_for_dataset,
 )
 from mrsquant.signal import (
     AcquisitionParams,
@@ -35,15 +36,9 @@ def example_dataset(params=TRAIN_PARAMS):
 class TestCrop:
     """The quantification window, cropped with a ppm mask as build_feature_space does."""
 
-    def test_full_range_is_identity(self):
-        data = example_dataset()
-        meta, X = build_feature_space(data, data.ppm_axis[0], data.ppm_axis[-1])
-        assert np.array_equal(meta.grid, data.ppm_axis)
-        assert np.array_equal(X, cr_normalize(data.values.real, data.ppm_axis))
-
     def test_window_postcondition(self):
         data = example_dataset()
-        meta, X = build_feature_space(data, 4.3, 0.2)
+        meta, X = build_feature_space(data)
         assert np.all((meta.grid >= 0.2) & (meta.grid <= 4.3))
         kept = (data.ppm_axis >= 0.2) & (data.ppm_axis <= 4.3)
         assert X.shape == (1, int(kept.sum()))
@@ -51,7 +46,7 @@ class TestCrop:
 
     def test_idempotent(self):
         data = example_dataset()
-        meta, X = build_feature_space(data, 4.3, 0.2)
+        meta, X = build_feature_space(data)
         kept = meta.grid.size
         params = AcquisitionParams(TRAIN_PARAMS.spectral_width * kept / TRAIN_PARAMS.n_points, kept,
                                    TRAIN_PARAMS.transmitter_freq)
@@ -60,17 +55,15 @@ class TestCrop:
         assert np.array_equal(features_for_dataset(meta, cropped), X)
 
     def test_bin_width_preserved(self):
-        meta, _ = build_feature_space(example_dataset(), 4.3, 0.2)
+        meta, _ = build_feature_space(example_dataset())
         ppm_per_bin = TRAIN_PARAMS.spectral_width / TRAIN_PARAMS.n_points / TRAIN_PARAMS.transmitter_freq
         assert np.allclose(-np.diff(meta.grid), ppm_per_bin, rtol=1e-9)
 
     def test_empty_overlap_raises(self):
+        # referenced at 100 ppm, the axis spans about 90-110 ppm
+        far = Dataset(TRAIN_PARAMS, 100.0, example_dataset().values, [])
         with pytest.raises(GridCompatibilityError):
-            build_feature_space(example_dataset(), 100.0, 99.0)
-
-    def test_inverted_bounds_raise(self):
-        with pytest.raises(GridCompatibilityError):
-            build_feature_space(example_dataset(), 0.2, 4.3)
+            build_feature_space(far)
 
 
 class TestDtft:
