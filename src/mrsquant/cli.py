@@ -1,9 +1,9 @@
 """Command-line surface: simulate, train, predict, evaluate, oob-scan.
 
 A refusal exits with its error class's exit_code, an OSError with 2.
---threads sets the worker count (default 1): train, evaluate and oob-scan
-grow trees in that many forked processes, simulate uses threads, and
-predict runs on one thread.  No output depends on it.
+--threads sets the worker count (default 1): simulate computes its chunks
+of spectra, and train, evaluate and oob-scan grow their trees, in that many
+forked processes; predict runs on one thread.  No output depends on it.
 """
 
 import argparse
@@ -14,6 +14,7 @@ import numpy as np
 
 from . import fileio
 from .basis import basis_to_dict
+# dataset_from_labeled and simulate_dataset stay importable from here: perfbench/layers.py wraps them on this module.
 from .dataset import config_fingerprint, dataset_from_labeled
 from .errors import MrsQuantError, ValidationError, integer, known_keys
 from .evaluate import ExperimentSpec, run_experiment
@@ -57,14 +58,10 @@ def cmd_simulate(args):
         config = fileio.load_json(args.config, lambda doc: _sim_config(args, basis, doc))
     else:
         config = _sim_config(args, basis, {})
-    threads = resolve_threads(args.threads)
-    labeled = simulate_dataset(config, threads=threads)
-    config_dict = fileio.sim_config_to_dict(config)
-    dataset = dataset_from_labeled(labeled, config_dict, target_names=config.target_names)
-    fileio.write_dataset(args.output, dataset)
-    print(f"wrote {dataset.n_spectra} spectra to {args.output}")
-    print(f"seed={config.rng_seed} fingerprint={dataset.fingerprint}")
-    print(f"targets={','.join(dataset.target_names)}")
+    fingerprint = fileio.write_simulation(args.output, config, resolve_threads(args.threads))
+    print(f"wrote {config.n_spectra} spectra to {args.output}")
+    print(f"seed={config.rng_seed} fingerprint={fingerprint}")
+    print(f"targets={','.join(config.target_names)}")
     for name, rng in config.concentration_ranges.items():
         print(f"range {name}: [{rng[0]}, {rng[1]}]")
     return 0
@@ -199,7 +196,7 @@ def build_parser():
     p.add_argument("--n-spectra", type=int, dest="n_spectra")
     p.add_argument("--basis", help="basis-set JSON file overriding the built-in basis")
     p.add_argument("--threads", type=int,
-                   help="worker threads over fixed chunks of spectra; the output does not depend on it")
+                   help="forked worker processes over fixed chunks of spectra; the output does not depend on it")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a random-forest model on a dataset")

@@ -8,9 +8,11 @@ CSV output follows RFC 4180 (CRLF, header row).
 
 import base64
 import binascii
+import contextlib
 import csv
 import dataclasses
 import json
+import os
 
 import numpy as np
 
@@ -20,8 +22,8 @@ from .errors import FileFormatError, MrsQuantError, UnsupportedVersionError, Val
 from .evaluate import EvalReport
 from .forest import ForestConfig, RandomForestModel, RegressionTree
 from .pipeline import FEATURE_KIND, FeatureMeta
-from .signal import AcquisitionParams, grids_match
-from .simulate import SNR_DEFINITION, SimulationConfig
+from .signal import AcquisitionParams, grids_match, ppm_axis
+from .simulate import SNR_DEFINITION, SimulationConfig, simulate_chunks
 
 FORMAT_VERSION = 1
 
@@ -162,32 +164,65 @@ def sim_config_from_dict(d):
 
 # ---------------------------------------------------------------- datasets
 
-def write_dataset(path, dataset):
+def _write_dataset_file(path, fingerprint, params, reference_ppm, target_names, config, chunks):
+    """Write a dataset file holding the records of (values, labels, truth) chunks; labels and truth may be None.
+
+    The file is written under a temporary name beside path and moved into
+    place once complete, so a refusal raised while the chunks stream in
+    leaves no truncated dataset behind.
+    """
     header = {
         "format": "mrsquant-dataset",
         "format_version": FORMAT_VERSION,
-        "fingerprint": dataset.fingerprint,
+        "fingerprint": fingerprint,
         "snr_definition": SNR_DEFINITION,
-        "reference_ppm": dataset.reference_ppm,
-        "acquisition": acquisition_to_dict(dataset.params),
-        "target_names": list(dataset.target_names),
-        "ppm_axis": dataset.ppm_axis.tolist(),
-        "config": dataset.config,
+        "reference_ppm": reference_ppm,
+        "acquisition": acquisition_to_dict(params),
+        "target_names": list(target_names),
+        "ppm_axis": ppm_axis(params, reference_ppm).tolist(),
+        "config": config,
     }
-    n = dataset.n_spectra
-    with open(path, "w", encoding="utf-8") as f:
-        _write_header(f, header)
-        f.write('"records": [\n')
-        for i in range(n):
-            rec = {
-                "labels": dataset.label_map(i),
-                "truth_params": dataset.truth_params[i] if dataset.truth_params else None,
-            }
-            # base64 needs no JSON escaping, so the spectrum is spliced in as text
-            f.write(json.dumps(rec)[:-1])
-            f.write(f', "spectrum_b64": "{encode_spectrum(dataset.values[i])}"}}')
-            f.write(",\n" if i < n - 1 else "\n")
-        f.write("]}\n")
+    tmp = os.fspath(path) + f".{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            _write_header(f, header)
+            f.write('"records": [\n')
+            f.flush()  # so forked chunk workers inherit no unwritten output
+            sep = ""
+            for values, labels, truth in chunks:
+                for i, row in enumerate(values):
+                    rec = {
+                        "labels": None if labels is None else dict(zip(target_names, labels[i].tolist())),
+                        "truth_params": truth[i] if truth else None,
+                    }
+                    # base64 needs no JSON escaping, so the spectrum is spliced in as text
+                    f.write(sep + json.dumps(rec)[:-1])
+                    f.write(f', "spectrum_b64": "{encode_spectrum(row)}"}}')
+                    sep = ",\n"
+            f.write("\n]}\n" if sep else "]}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_dataset(path, dataset):
+    _write_dataset_file(path, dataset.fingerprint, dataset.params, dataset.reference_ppm, dataset.target_names,
+                        dataset.config, [(dataset.values, dataset.labels, dataset.truth_params)])
+
+
+def write_simulation(path, config, threads=1):
+    """Simulate config's spectra into a dataset file chunk by chunk (see simulate_chunks); returns its fingerprint.
+
+    The file is the one write_dataset writes for the same spectra.
+    """
+    config_dict = sim_config_to_dict(config)
+    fingerprint = config_fingerprint(config_dict)
+    with contextlib.closing(simulate_chunks(config, threads=threads)) as chunks:
+        _write_dataset_file(path, fingerprint, config.basis.params, float(config.basis.reference_ppm),
+                            config.target_names, config_dict, chunks)
+    return fingerprint
 
 
 def read_dataset(path):

@@ -11,7 +11,9 @@ are partitioned across workers.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,7 +248,8 @@ def add_noise(spec, snr, rng):
 
 
 def _simulate_chunk(config, indices, axis, curvature_bound):
-    """Labeled spectra for indices, computed as (len(indices), n) arrays; rows share axis."""
+    """(values, labels, truth) for indices: the read-only (rows, n) spectra on axis, the
+    (rows, targets) labels in config.target_names order and one truth dict per row."""
     basis = config.basis
     seed = config.rng_seed
     names = sorted(config.concentration_ranges)
@@ -279,24 +282,54 @@ def _simulate_chunk(config, indices, axis, curvature_bound):
     values = clean + baseline + lipids
     _add_noise(values, snr, [_stream(seed, i, 3) for i in indices])
     values.flags.writeable = False
-    targets = config.target_names
-    return [
-        LabeledSpectrum(
-            ComplexSpectrum(values[r], axis, basis.params),
-            dict(zip(targets, labels[r].tolist())),
-            {
-                "concentration_draws": dict(zip(names, draws[r].tolist())),
-                "concentrations": dict(zip(names, concentrations[r].tolist())),
-                "t2_scale": t2_scale[r].item(),
-                "snr": snr[r].item(),
-                "baseline_amplitude": baseline_amp[r].item(),
-                "lipid_amplitude": lipid_amp[r].item(),
-                "baseline_amplitude_abs": baseline_abs[r],
-                "lipid_amplitude_abs": lipid_abs[r],
-            },
-        )
+    truth = [
+        {
+            "concentration_draws": dict(zip(names, draws[r].tolist())),
+            "concentrations": dict(zip(names, concentrations[r].tolist())),
+            "t2_scale": t2_scale[r].item(),
+            "snr": snr[r].item(),
+            "baseline_amplitude": baseline_amp[r].item(),
+            "lipid_amplitude": lipid_amp[r].item(),
+            "baseline_amplitude_abs": baseline_abs[r],
+            "lipid_amplitude_abs": lipid_abs[r],
+        }
         for r in range(len(indices))
     ]
+    return values, labels, truth
+
+
+def simulate_chunks(config, indices=None, threads=1):
+    """Yield _simulate_chunk's (values, labels, truth) for each CHUNK_SIZE run of indices, in order.
+
+    With threads > 1 the chunks run in that many forked worker processes (the
+    per-row work holds the interpreter lock, so threads would not overlap),
+    at most two per worker in flight, so the caller holds a few chunks
+    whatever the spectrum count.  The pool is shut down and joined however
+    the iteration ends.  Neither count changes a single bit of the result.
+    """
+    indices = list(range(config.n_spectra) if indices is None else indices)
+    bad = [i for i in indices if not 0 <= i < config.n_spectra]
+    if bad:
+        raise ValidationError(f"index {bad[0]} out of range [0, {config.n_spectra})")
+    axis = ppm_axis(config.basis.params, config.basis.reference_ppm)
+    bound = _curvature_bound(axis)
+    chunks = [indices[s:s + CHUNK_SIZE] for s in range(0, len(indices), CHUNK_SIZE)]
+    workers = min(threads, len(chunks))
+    if workers <= 1:
+        for chunk in chunks:
+            yield _simulate_chunk(config, chunk, axis, bound)
+        return
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
+        in_flight = deque()
+        for chunk in chunks:
+            in_flight.append(pool.submit(_simulate_chunk, config, chunk, axis, bound))
+            if len(in_flight) == 2 * workers:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def simulate_spectrum(config, index):
@@ -307,25 +340,14 @@ def simulate_spectrum(config, index):
 def simulate_dataset(config, indices=None, threads=1):
     """Generate the configured spectra; a pure function of (config, indices).
 
-    Indices are simulated CHUNK_SIZE at a time, the chunks spread over up to
-    ``threads`` worker threads; neither changes a single bit of the result.
-    Spectra are read-only row views of their chunk and share one ppm axis.
+    Spectra are read-only row views of their simulate_chunks chunk and share
+    one read-only ppm axis.
     """
-    indices = list(range(config.n_spectra) if indices is None else indices)
-    bad = [i for i in indices if not 0 <= i < config.n_spectra]
-    if bad:
-        raise ValidationError(f"index {bad[0]} out of range [0, {config.n_spectra})")
     axis = ppm_axis(config.basis.params, config.basis.reference_ppm)
     axis.flags.writeable = False
-    bound = _curvature_bound(axis)
-    chunks = [indices[s:s + CHUNK_SIZE] for s in range(0, len(indices), CHUNK_SIZE)]
-
-    def run(chunk):
-        return _simulate_chunk(config, chunk, axis, bound)
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(chunk) for chunk in chunks]
-    return [spectrum for part in parts for spectrum in part]
+    targets = config.target_names
+    return [
+        LabeledSpectrum(ComplexSpectrum(row, axis, config.basis.params), dict(zip(targets, label_row)), truth_row)
+        for values, labels, truth in simulate_chunks(config, indices, threads)
+        for row, label_row, truth_row in zip(values, labels.tolist(), truth)
+    ]

@@ -1,15 +1,17 @@
 import csv
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mrsquant import fileio
+from mrsquant import fileio, simulate as simulate_module
 from mrsquant.basis import default_brain_basis
 from mrsquant.cli import main, resolve_threads
 from mrsquant.dataset import Dataset
+from mrsquant.errors import ValidationError
 from mrsquant.forest import ForestConfig
 from mrsquant.pipeline import train_model
 
@@ -48,15 +50,59 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_thread_count_does_not_change_the_file(self, tmp_path):
-        # 200 spectra cross the first 128-spectrum chunk boundary
+        # 300 spectra make chunks of 128, 128 and 44: the last is short, and 4 workers outnumber them
         cfg = write_config(tmp_path / "cfg.json")
         outputs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3", "4"):
             out = tmp_path / f"t{threads}.json"
-            assert main(["simulate", "--config", cfg, "--seed", "9", "--n-spectra", "200",
+            assert main(["simulate", "--config", cfg, "--seed", "9", "--n-spectra", "300",
                          "--threads", threads, "--output", str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[1:] == outputs[:1] * 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_refusal_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys, threads):
+        add_noise = simulate_module._add_noise
+
+        def refuse_row_200(values, snrs, rngs):
+            # each row's stream is seeded [seed, index, purpose]; forked workers inherit this patch
+            if any(rng.bit_generator.seed_seq.entropy[1] == 200 for rng in rngs):
+                raise ValidationError("row 200 refused")
+            add_noise(values, snrs, rngs)
+
+        monkeypatch.setattr(simulate_module, "_add_noise", refuse_row_200)
+        cfg = write_config(tmp_path / "cfg.json")
+        # row 200 is in the second of three chunks, so the first chunk's records are already written
+        assert main(["simulate", "--config", cfg, "--seed", "9", "--n-spectra", "300",
+                     "--threads", threads, "--output", str(tmp_path / "out.json")]) == 2
+        assert "row 200 refused" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_peak_memory_does_not_grow_with_the_spectrum_count(self, tmp_path):
+        # Each run is a fresh interpreter.  Its own ru_maxrss would start at this
+        # test process's peak, which Linux carries across exec, so the parent's
+        # peak is read as VmHWM, which exec resets.  The forked workers' peak
+        # (RUSAGE_CHILDREN) starts at the parent's resident size when they fork.
+        script = ("import json, resource, sys\n"
+                  "from mrsquant.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+                  "print(json.dumps([int(hwm.split()[1]) / 1024,\n"
+                  "                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024]))\n")
+        for threads in ("1", "2"):
+            peaks = {}
+            for n in (500, 2000):
+                proc = subprocess.run([sys.executable, "-c", script, "simulate", "--seed", "3",
+                                       "--n-spectra", str(n), "--threads", threads,
+                                       "--output", str(tmp_path / f"{n}.json")],
+                                      capture_output=True, text=True, check=True)
+                peaks[n] = json.loads(proc.stdout.splitlines()[-1])
+            # the spectra of 1500 spectra alone are 23 MB
+            print(f"simulate --threads {threads}: peak MB [parent, largest worker] by count: {peaks}")
+            assert peaks[2000][0] - peaks[500][0] < 16, peaks
+            assert peaks[2000][1] - peaks[500][1] < 16, peaks
 
     def test_bad_range_exits_2_naming_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.json",
