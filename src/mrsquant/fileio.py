@@ -3,14 +3,18 @@
 All JSON artifacts embed a format version plus the configuration (and its
 fingerprint) needed to regenerate them byte-for-byte.  Spectra are stored
 as little-endian float64 interleaved real/imag, base64-encoded per record.
+A JSON file is read one top-level member at a time through a window of its
+text, and a dataset's records are decoded as they are read, so reading a
+dataset holds one window of text plus the decoded spectra and their labels.
 CSV output follows RFC 4180 (CRLF, header row).
 """
 
 import base64
-import binascii
+import codecs
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 
@@ -28,21 +32,159 @@ from .simulate import SNR_DEFINITION, SimulationConfig, simulate_chunks
 FORMAT_VERSION = 1
 
 
-# ---------------------------------------------------------------- helpers
+# ---------------------------------------------------------------- JSON scanning
 
-def load_json(path, build, expected_format=None):
+_WINDOW = 1 << 18  # characters of a JSON file's text held at a time
+_DECODER = json.JSONDecoder()
+_BLANKS = json.decoder.WHITESPACE.match
+
+
+class _Window:
+    """The text of a binary file, scanned forward through a window of about _WINDOW characters.
+
+    step(parse) calls parse(text, pos), which skips the blanks before its
+    value and returns (value, end).  The window is topped up whenever less
+    than a quarter of it is left, so a value of up to a quarter window is
+    never cut by its edge.  A parse that fails before the end of the file is
+    retried on more text: the scanned text is dropped and the window filled,
+    and a value that fails from the window's start is retried on eight times
+    as much text, so a large value, such as a model's forests, costs about
+    8/7 of one parse (doubling would cost two).  A value cut by the window's
+    edge fails like a malformed one, and a number at the edge could still
+    continue, so each parse also reads the delimiter after its value, and an
+    error is reported only once the window holds the rest of the file.
+    """
+
+    def __init__(self, f):
+        self.f, self.text, self.pos, self.dropped, self.at_end = f, "", 0, 0, False
+        # UTF-8 with universal newlines, as in text mode, which would keep a copy of each read's bytes
+        self.decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True).decode
+        self.more()
+
+    def more(self):
+        grow = 7 if self.pos == 0 else 1  # nothing scanned: the value at pos does not fit the window
+        self.dropped += self.pos
+        self.text, self.pos = self.text[self.pos:], 0
+        want = max(_WINDOW - len(self.text), grow * len(self.text))
+        chunk = self.f.read(want)
+        self.at_end = len(chunk) < want
+        chunk = self.decode(chunk, self.at_end)  # the bytes are dropped before the text is joined
+        self.text += chunk
+
+    def step(self, parse, *args):
+        if not self.at_end and len(self.text) - self.pos < _WINDOW // 4:
+            self.more()
+        while True:
+            try:
+                value, self.pos = parse(self.text, self.pos, *args)
+                return value
+            except json.JSONDecodeError as e:
+                if self.at_end:
+                    raise self.in_file(e) from None
+            self.more()  # outside the handler, so that e and the text it holds are dropped first
+
+    def in_file(self, e):
+        """e, raised at e.pos of the window, placed at its line and column in the whole file."""
+        e.pos += self.dropped
+        e.lineno, e.colno, left = 1, 1, e.pos
+        with open(self.f.name, encoding="utf-8") as f:  # the text before the error is read again for its lines
+            while left and (piece := f.read(min(left, _WINDOW))):
+                newlines, left = piece.count("\n"), left - len(piece)
+                e.lineno += newlines
+                e.colno = len(piece) - piece.rfind("\n") if newlines else e.colno + len(piece)
+        e.args = (f"{e.msg}: line {e.lineno} column {e.colno} (char {e.pos})",)
+        return e
+
+    def read_all(self):
+        self.text += self.decode(self.f.read(), True)
+        self.at_end = True
+
+
+def _next_is(text, pos, char):
+    """Whether the next non-blank character is the bracket char; end past it when it is."""
+    pos = _BLANKS(text, pos).end()
+    if pos == len(text):  # the messages json gives for a document that ends here
+        raise json.JSONDecodeError(
+            "Expecting property name enclosed in double quotes" if char == "}" else "Expecting value", text, pos)
+    return text[pos] == char, pos + (text[pos] == char)
+
+
+def _key(text, pos):
+    """The member name at pos; end past its ':'."""
+    pos = _BLANKS(text, pos).end()
+    if text[pos:pos + 1] != '"':
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+    key, end = json.decoder.scanstring(text, pos + 1)
+    end = _BLANKS(text, end).end()
+    if text[end:end + 1] != ":":
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
+    return key, end + 1
+
+
+def _delimiter(text, pos, closer):
+    """Whether closer, not ',', follows the value ending at pos; end past it."""
+    end = _BLANKS(text, pos).end()
+    if text[end:end + 1] not in (closer, ","):
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+    return text[end] == closer, end + 1
+
+
+def _item(text, pos, closer):
+    """(value, whether closer follows it) for the value at pos; end past its delimiter."""
+    value, end = _DECODER.raw_decode(text, _BLANKS(text, pos).end())
+    last, end = _delimiter(text, end, closer)
+    return (value, last), end
+
+
+def _scan_json(f, on_record):
+    """json.load of binary file f as UTF-8 text, each element of a top-level "records" array replaced by on_record(it).
+
+    Each element is passed to on_record as soon as it is parsed, so only one
+    window of text and the values on_record returns are held.  A document that
+    is not an object is decoded whole.
+    """
+    window = _Window(f)
+    if not window.step(_next_is, "{"):
+        window.read_all()
+        return json.loads(window.text)  # no text is dropped before the first value
+    doc = {}
+    last = window.step(_next_is, "}")
+    while not last:
+        key = window.step(_key)
+        if key == "records" and on_record is not None and window.step(_next_is, "["):
+            items = []
+            done = window.step(_next_is, "]")
+            while not done:
+                item, done = window.step(_item, "]")
+                items.append(on_record(item))
+            doc[key] = items
+            last = window.step(_delimiter, "}")
+        else:
+            doc[key], last = window.step(_item, "}")
+    window.read_all()
+    end = _BLANKS(window.text, window.pos).end()
+    if end < len(window.text):
+        raise window.in_file(json.JSONDecodeError("Extra data", window.text, end))
+    return doc
+
+
+def load_json(path, build, expected_format=None, on_record=None):
     """build(doc) for the JSON document at path; the one place a parse error becomes FileFormatError.
 
-    With expected_format, the document must be an object carrying that
-    format tag and FORMAT_VERSION.  A KeyError raised while building becomes
-    FileFormatError naming the missing field; a TypeError, ValueError,
-    AttributeError, IndexError or OverflowError becomes FileFormatError for a
-    malformed field.  A MrsQuantError raised by build is raised again as the
-    same class, so every refusal of the file's content names the file here.
+    doc is what json.load would give, except that with on_record each element
+    of the top-level "records" array is replaced by on_record(element) as
+    soon as it is parsed (see _scan_json).  A parse error names its line and
+    column in the file.  With expected_format, the document must be an
+    object carrying that format tag and FORMAT_VERSION.  A KeyError raised
+    while building becomes FileFormatError naming the missing field; a
+    TypeError, ValueError, AttributeError, IndexError or OverflowError becomes
+    FileFormatError for a malformed field.  A MrsQuantError raised by build
+    is raised again as the same class, so every refusal of the file's content
+    names the file here.  on_record must not raise.
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        with open(path, "rb") as f:
+            doc = _scan_json(f, on_record)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
@@ -74,17 +216,6 @@ def _write_header(f, header):
     f.write("{\n")
     for key, val in header.items():
         f.write(f"{json.dumps(key)}: {json.dumps(val)},\n")
-
-
-def decode_spectrum(text, n_points):
-    """The bytes of the n_points complex values base64 text holds, or None when it holds no such block."""
-    if not isinstance(text, str) or not text.isascii():
-        return None
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except binascii.Error:
-        return None
-    return raw if len(raw) == 16 * n_points else None
 
 
 def acquisition_to_dict(params):
@@ -226,22 +357,39 @@ def write_simulation(path, config, threads=1):
 
 
 def read_dataset(path):
-    """Dataset from a file; a missing or malformed field, unreadable record or NaN/inf value raises FileFormatError."""
+    """Dataset from a file; a missing or malformed field, unreadable record or NaN/inf value raises FileFormatError.
+
+    Each record's spectrum is decoded onto one buffer as the record is read,
+    so the spectra are held once, and the base64 text of one window at most.
+    """
+    spectra, sizes = bytearray(), []
+
+    def take_spectrum(record):
+        """record without its spectrum_b64, whose bytes go to spectra and their count (None if unreadable) to sizes."""
+        text = record.pop("spectrum_b64", None) if isinstance(record, dict) else None
+        try:
+            block = base64.b64decode(text, validate=True)
+        except (TypeError, ValueError):  # no text, not ASCII, or not base64 (binascii.Error is a ValueError)
+            sizes.append(None)
+        else:
+            spectra.extend(block)
+            sizes.append(len(block))
+        return record
+
     def build(data):
         params = acquisition_from_dict(data["acquisition"])
         records = data["records"]
         target_names = list(data["target_names"])
-        if len(records) == 0:
+        if not isinstance(records, list):
+            raise FileFormatError("records is not a list")
+        n, block = len(records), 16 * params.n_points
+        if n == 0:
             raise ValidationError("dataset holds no spectra")
-        # each string is dropped as it is decoded, so its memory can hold the next block
-        blocks = []
-        for i, r in enumerate(records):
-            block = decode_spectrum(r.pop("spectrum_b64", None), params.n_points)
-            if block is None:
-                raise FileFormatError(f"record {i} has no readable spectrum_b64 of {params.n_points} points")
-            blocks.append(block)
-        values = np.frombuffer(bytearray().join(blocks), "<c16").reshape(len(records), params.n_points)
-        del blocks  # one copy of the spectra from here on
+        # a repeated "records" key keeps its last list, as in json.load, whose spectra were read last
+        bad = next((i for i, size in enumerate(sizes[len(sizes) - n:]) if size != block), None)
+        if bad is not None:
+            raise FileFormatError(f"record {bad} has no readable spectrum_b64 of {params.n_points} points")
+        values = np.frombuffer(spectra, "<c16", offset=len(spectra) - n * block).reshape(n, params.n_points)
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
             raise FileFormatError(f"record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
@@ -269,7 +417,7 @@ def read_dataset(path):
         dataset.basis  # an embedded basis the oracle cannot build is refused here
         return dataset
 
-    return load_json(path, build, "mrsquant-dataset")
+    return load_json(path, build, "mrsquant-dataset", take_spectrum)
 
 
 # ---------------------------------------------------------------- models

@@ -108,6 +108,20 @@ class TestDatasetFile:
         assert values.dtype == np.complex128 and values.shape == (200, WIDE.n_points)
         assert values.flags.c_contiguous and values.flags.writeable
 
+    def test_read_peak_memory_near_the_spectra(self, tmp_path):
+        # one window of text beside the decoded spectra and the records' labels and truth
+        cfg = SimulationConfig(basis=default_brain_basis(WIDE), n_spectra=200, rng_seed=9)
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, dataset_from_labeled(
+            simulate_dataset(cfg), fileio.sim_config_to_dict(cfg), cfg.target_names))
+        tracemalloc.start()
+        try:
+            loaded = fileio.read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * loaded.values.nbytes
+
     @pytest.mark.parametrize("edit", [
         lambda rec: rec.update(spectrum_b64=rec["spectrum_b64"][:-8]),
         lambda rec: rec.update(spectrum_b64="not base64!"),
@@ -288,3 +302,87 @@ class TestReportFile:
         lines = path.read_bytes().decode().strip().split("\r\n")
         assert lines[0] == "target,max_features,n_trees,oob_error,config_fingerprint"
         assert len(lines) == 1 + 2 * 3
+
+
+def _same_dataset(a, b):
+    assert a.values.tobytes() == b.values.tobytes()
+    assert np.array_equal(a.labels, b.labels)
+    assert a.truth_params == b.truth_params
+    assert a.config == b.config
+    assert a.fingerprint == b.fingerprint
+
+
+def _json_error(text):
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(text)
+    return err.value
+
+
+class TestJsonScanner:
+    """load_json reads a file through a window of its text and gives what json.load gives."""
+
+    @pytest.mark.parametrize("window", [1, 3, 7, 64])
+    def test_dataset_layouts_read_alike_whatever_the_window(self, tmp_path, monkeypatch, window):
+        ds = small_dataset()
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, ds)
+        doc = json.loads(path.read_text())
+        layouts = {"written": path.read_text(), "one line": json.dumps(doc),
+                   "indent": json.dumps(doc, indent=2), "sorted": json.dumps(doc, sort_keys=True)}
+        monkeypatch.setattr(fileio, "_WINDOW", window)  # so that every token straddles a window edge
+        for name, text in layouts.items():
+            layout = tmp_path / f"{name}.json"
+            layout.write_text(text)
+            _same_dataset(fileio.read_dataset(layout), ds)
+
+    @pytest.mark.parametrize("window", [1, 5, fileio._WINDOW])
+    def test_model_report_and_basis_load_as_json_load(self, tmp_path, monkeypatch, window):
+        model, _ = TestModelFile()._model()
+        paths = [tmp_path / name for name in ("model.json", "report.json", "basis.json")]
+        fileio.write_model(paths[0], model)
+        fileio.write_report(paths[1], TestReportFile()._report())
+        fileio.write_basis(paths[2], BASIS)
+        monkeypatch.setattr(fileio, "_WINDOW", window)
+        for path in paths:
+            with open(path, encoding="utf-8") as f:
+                assert fileio.load_json(path, lambda d: d) == json.load(f)
+
+    @pytest.mark.parametrize("window", [5, fileio._WINDOW])
+    def test_truncated_dataset_is_refused_where_json_refuses_it(self, tmp_path, monkeypatch, window):
+        source = tmp_path / "data.json"
+        fileio.write_dataset(source, small_dataset(n=4))
+        text = source.read_text()
+        records = text.index('"records": [')
+        # in the header, in a truth dict, in a spectrum, between records, before the closing brackets, and evenly
+        cuts = [1, text.index('"acquisition"') + 9, text.index('"ppm_axis"') + 40, records - 1, records + 12,
+                text.index('"truth_params": {') + 40, text.index('"spectrum_b64": "') + 100,
+                text.index("},\n{") + 1, text.index("},\n{") + 3, text.rindex('"}') - 1, text.rindex("]}"),
+                text.rindex("}")] + [len(text) * k // 9 for k in range(1, 9)]
+        monkeypatch.setattr(fileio, "_WINDOW", window)
+        path = tmp_path / "cut.json"
+        for cut in cuts:
+            path.write_text(text[:cut])
+            expected = _json_error(text[:cut])
+            with pytest.raises(FileFormatError) as err:
+                fileio.read_dataset(path)
+            assert str(path) in str(err.value)
+            assert f"line {expected.lineno} column {expected.colno}: {expected.msg}" in str(err.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + "{}\n",
+        lambda text: text.replace("},\n{", "}\n{", 1),
+        lambda text: text.replace(",\n", "\n", 1),
+    ], ids=["trailing-data", "no-comma-between-records", "no-comma-in-the-header"])
+    @pytest.mark.parametrize("window", [5, fileio._WINDOW])
+    def test_malformed_dataset_reports_json_loads_position(self, tmp_path, monkeypatch, edit, window):
+        source = tmp_path / "data.json"
+        fileio.write_dataset(source, small_dataset(n=4))
+        text = edit(source.read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        expected = _json_error(text)
+        monkeypatch.setattr(fileio, "_WINDOW", window)
+        with pytest.raises(FileFormatError) as err:
+            fileio.read_dataset(path)
+        assert f"{path}: malformed JSON at line {expected.lineno} column {expected.colno}: {expected.msg}" \
+            == str(err.value)
