@@ -1,9 +1,10 @@
 """Command-line surface: simulate, train, predict, evaluate, oob-scan.
 
 A refusal exits with its error class's exit_code, an OSError with 2.
---threads sets the worker count (default 1): simulate computes its chunks
-of spectra, and train, evaluate and oob-scan grow their trees, in that many
-forked processes; predict runs on one thread.  No output depends on it.
+--threads (default 1) goes straight to the library as the worker count of
+workers.ordered_map, where a value below 1 counts as 1: simulate computes its
+chunks of spectra, and train, evaluate and oob-scan grow their trees, in that
+many forked processes; predict runs on one thread.  No output depends on it.
 """
 
 import argparse
@@ -30,11 +31,6 @@ DEFAULT_ACQUISITION = {"spectral_width_hz": 2500.0, "n_points": 1024,
                        "repetition_time_ms": 2000.0}
 
 
-def resolve_threads(flag_value):
-    """Worker count for a --threads value: 1 when absent, at least 1 otherwise."""
-    return 1 if flag_value is None else max(1, int(flag_value))
-
-
 def _sim_config(args, basis, file_cfg):
     """SimulationConfig from the --config document (or {}), the flags, the --basis basis and the defaults."""
     cfg = {"acquisition": dict(DEFAULT_ACQUISITION), "reference_ppm": DEFAULT_REFERENCE_PPM}
@@ -58,7 +54,7 @@ def cmd_simulate(args):
         config = fileio.load_json(args.config, lambda doc: _sim_config(args, basis, doc))
     else:
         config = _sim_config(args, basis, {})
-    fingerprint = fileio.write_simulation(args.output, config, resolve_threads(args.threads))
+    fingerprint = fileio.write_simulation(args.output, config, args.threads)
     print(f"wrote {config.n_spectra} spectra to {args.output}")
     print(f"seed={config.rng_seed} fingerprint={fingerprint}")
     print(f"targets={','.join(config.target_names)}")
@@ -82,8 +78,7 @@ def cmd_train(args):
         raise ValidationError(f"{args.dataset}: dataset has no labels; cannot train")
     config = ForestConfig(n_trees=args.trees, max_features=args.max_features,
                           min_leaf_size=args.min_leaf, max_depth=args.max_depth, rng_seed=args.seed)
-    threads = resolve_threads(args.threads)
-    model = train_model(dataset, config, threads=threads)
+    model = train_model(dataset, config, threads=args.threads)
     fileio.write_model(args.output, model)
     oob_path = args.oob_csv or args.output + ".oob.csv"
     entries = [(name, config.max_features, curve)
@@ -133,8 +128,7 @@ def _experiment(doc):
 def cmd_evaluate(args):
     spec, paths, fingerprint = fileio.load_json(args.config, _experiment)
     datasets = {role: fileio.read_dataset(path) for role, path in paths.items()}
-    threads = resolve_threads(args.threads)
-    report = run_experiment(spec, datasets, threads=threads)
+    report = run_experiment(spec, datasets, threads=args.threads)
     report.inputs["experiment_config_fingerprint"] = fingerprint
     fileio.write_report(args.output, report)
     csv_path = args.csv or args.output + ".samples.csv"
@@ -154,7 +148,6 @@ def cmd_oob_scan(args):
     dataset = fileio.read_dataset(args.dataset)
     if dataset.labels is None:
         raise ValidationError(f"{args.dataset}: dataset has no labels; cannot scan")
-    threads = resolve_threads(args.threads)
     try:
         features = [int(v) for v in args.features.split(",") if v.strip()]
     except ValueError as e:
@@ -171,7 +164,7 @@ def cmd_oob_scan(args):
     scan_cfg = {"dataset_fingerprint": dataset.fingerprint, "trees": args.trees,
                 "features": features, "seed": args.seed, "min_leaf": args.min_leaf}
     for config in configs:
-        model = fit_forest(X, dataset.labels, config, dataset.target_names, threads)
+        model = fit_forest(X, dataset.labels, config, dataset.target_names, args.threads)
         for name, curve in zip(model.target_names, model.oob_curves):
             entries.append((name, config.max_features, curve))
         print(f"max_features={config.max_features}: " + " ".join(
@@ -195,7 +188,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--n-spectra", type=int, dest="n_spectra")
     p.add_argument("--basis", help="basis-set JSON file overriding the built-in basis")
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=int, default=1,
                    help="forked worker processes over fixed chunks of spectra; the output does not depend on it")
     p.set_defaults(func=cmd_simulate)
 
@@ -209,7 +202,7 @@ def build_parser():
     p.add_argument("--max-depth", type=_max_depth, default=None, dest="max_depth",
                    help="positive integer, or none/unlimited (the default)")
     p.add_argument("--oob-csv", dest="oob_csv")
-    p.add_argument("--threads", type=int, help=_TREE_WORKERS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=_TREE_WORKERS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="quantify spectra with a trained model")
@@ -218,7 +211,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--preprocess", action="store_true",
                    help="evaluate spectra from a different protocol on the model grid")
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: prediction runs on one thread")
     p.set_defaults(func=cmd_predict)
 
@@ -226,7 +219,7 @@ def build_parser():
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--output", required=True, help="report JSON path")
     p.add_argument("--csv", help="per-sample CSV path (default: <output>.samples.csv)")
-    p.add_argument("--threads", type=int, help=_TREE_WORKERS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=_TREE_WORKERS_HELP)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("oob-scan", help="sweep n_trees x max_features, emit the OOB grid CSV")
@@ -237,7 +230,7 @@ def build_parser():
     p.add_argument("--features", default="1,4,16,64,128",
                    help="comma-separated max_features values")
     p.add_argument("--min-leaf", type=int, default=5, dest="min_leaf")
-    p.add_argument("--threads", type=int, help=_TREE_WORKERS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=_TREE_WORKERS_HELP)
     p.set_defaults(func=cmd_oob_scan)
     return parser
 

@@ -56,11 +56,6 @@ class Dataset:
     def n_spectra(self):
         return self.values.shape[0]
 
-    def label_map(self, i):
-        if self.labels is None:
-            return None
-        return {name: float(v) for name, v in zip(self.target_names, self.labels[i])}
-
     def take(self, idx):
         """The spectra at the integer indices idx, with their labels and truth."""
         return replace(self, values=self.values[idx],

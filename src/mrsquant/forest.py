@@ -9,14 +9,14 @@ order before any draw, so a trained model is a pure function of the
 how the trees are spread over worker processes.
 """
 
+import contextlib
 import itertools
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError, integer
+from .workers import ordered_map
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ class RandomForestModel:
     oob_curves: list  # per target: ndarray, mean relative OOB error after m trees
     feature_meta: object = None
     dataset_fingerprint: str | None = None
-    # always None: kept only because perfbench/layers.py:model_stats reads it (ROADMAP item 1)
+    # always None: kept only because perfbench/layers.py:model_stats reads it (ROADMAP item 15)
     inbag_counts: list | None = None
 
     def __post_init__(self):
@@ -377,29 +377,14 @@ def _fit_one_tree(Xc, ranks, yc, config, target_index, tree_index):
     return tree, oob_pred
 
 
-_job_inputs = None  # (Xc, ranks, Yc, config) of a forked tree worker; never set in the caller
-
-
-def _share_job_inputs(*inputs):
-    global _job_inputs
-    _job_inputs = inputs
-
-
-def _fit_job(job):
-    Xc, ranks, Yc, config = _job_inputs
-    t, i = job
-    return _fit_one_tree(Xc, ranks, Yc[t], config, t, i)
-
-
 def fit_forest(X, Y, config, target_names=None, threads=1):
     """Train one forest per target column of Y; deterministic for a fixed config.
 
-    With threads > 1 the (target, tree) jobs are spread over that many
-    worker processes.  The grower holds the interpreter lock for most of a
-    tree, so threads would not overlap.  The workers are forked, so they
-    inherit the canonical training arrays instead of receiving a pickled
-    copy.  Each sends back its tree and the tree's predictions at the rows
-    its bootstrap left out (NaN at the rest), which oob_curve then averages.
+    The (target, tree) jobs run through workers.ordered_map over threads
+    forked workers, which inherit the canonical training arrays instead of
+    receiving a pickled copy.  Each job sends back its tree and the tree's
+    predictions at the rows its bootstrap left out (NaN at the rest), which
+    oob_curve then averages.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -421,14 +406,10 @@ def fit_forest(X, Y, config, target_names=None, threads=1):
     ranks = _rank_table(Xc)
 
     jobs = [(t, i) for t in range(Y.shape[1]) for i in range(config.n_trees)]
-    workers = min(threads, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 initializer=_share_job_inputs,
-                                 initargs=(Xc, ranks, Yc, config)) as pool:
-            return _assemble(pool.map(_fit_job, jobs), Yc, config, target_names)
-    return _assemble((_fit_one_tree(Xc, ranks, Yc[t], config, t, i) for t, i in jobs),
-                     Yc, config, target_names)
+    # _assemble takes each target's trees with islice, which leaves the map open; closing it ends the pool
+    with contextlib.closing(ordered_map(lambda job: _fit_one_tree(Xc, ranks, Yc[job[0]], config, *job),
+                                        jobs, threads)) as results:
+        return _assemble(results, Yc, config, target_names)
 
 
 def _assemble(results, Yc, config, target_names):

@@ -11,9 +11,6 @@ are partitioned across workers.
 """
 
 import math
-import multiprocessing
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +19,7 @@ import numpy as np
 from .basis import combination_values, linear_combination
 from .errors import ValidationError, integer
 from .signal import DEFAULT_REFERENCE_PPM, ComplexSpectrum, lorentzian_fids, ppm_axis, spectra_from_fids
+from .workers import ordered_map
 
 DEFAULT_CONCENTRATION_RANGES = {
     # Cr is absolute; every other metabolite's range is its ratio to Cr,
@@ -299,13 +297,11 @@ def _simulate_chunk(config, indices, axis, curvature_bound):
 
 
 def simulate_chunks(config, indices=None, threads=1):
-    """Yield _simulate_chunk's (values, labels, truth) for each CHUNK_SIZE run of indices, in order.
+    """An iterator of _simulate_chunk's (values, labels, truth) for each CHUNK_SIZE run of indices, in order.
 
-    With threads > 1 the chunks run in that many forked worker processes (the
-    per-row work holds the interpreter lock, so threads would not overlap),
-    at most two per worker in flight, so the caller holds a few chunks
-    whatever the spectrum count.  The pool is shut down and joined however
-    the iteration ends.  Neither count changes a single bit of the result.
+    The chunks run through workers.ordered_map over threads forked workers,
+    so the caller holds a few chunks whatever the spectrum count, and the
+    worker count changes no bit of the result.
     """
     indices = list(range(config.n_spectra) if indices is None else indices)
     bad = [i for i in indices if not 0 <= i < config.n_spectra]
@@ -314,22 +310,7 @@ def simulate_chunks(config, indices=None, threads=1):
     axis = ppm_axis(config.basis.params, config.basis.reference_ppm)
     bound = _curvature_bound(axis)
     chunks = [indices[s:s + CHUNK_SIZE] for s in range(0, len(indices), CHUNK_SIZE)]
-    workers = min(threads, len(chunks))
-    if workers <= 1:
-        for chunk in chunks:
-            yield _simulate_chunk(config, chunk, axis, bound)
-        return
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-    try:
-        in_flight = deque()
-        for chunk in chunks:
-            in_flight.append(pool.submit(_simulate_chunk, config, chunk, axis, bound))
-            if len(in_flight) == 2 * workers:
-                yield in_flight.popleft().result()
-        while in_flight:
-            yield in_flight.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return ordered_map(lambda chunk: _simulate_chunk(config, chunk, axis, bound), chunks, threads)
 
 
 def simulate_spectrum(config, index):

@@ -9,7 +9,7 @@ import pytest
 
 from mrsquant import fileio, simulate as simulate_module
 from mrsquant.basis import default_brain_basis
-from mrsquant.cli import main, resolve_threads
+from mrsquant.cli import main
 from mrsquant.dataset import Dataset
 from mrsquant.errors import ValidationError
 from mrsquant.forest import ForestConfig
@@ -534,12 +534,19 @@ class TestOobScan:
 
 
 class TestThreads:
-    def test_flag_alone_sets_the_count(self, monkeypatch):
-        # an MRSQUANT_THREADS variable in the environment is ignored
+    def test_flag_alone_sets_the_count(self, tmp_path, monkeypatch):
+        # a count below 1 counts as 1; an MRSQUANT_THREADS variable in the environment is ignored
         monkeypatch.setenv("MRSQUANT_THREADS", "8")
-        assert resolve_threads(None) == 1
-        assert resolve_threads(2) == 2
-        assert resolve_threads(0) == resolve_threads(-3) == 1
+        cfg = write_config(tmp_path / "cfg.json")
+        for threads in ("1", "0", "-3"):
+            data, model = tmp_path / f"data{threads}.json", tmp_path / f"model{threads}.json"
+            assert main(["simulate", "--config", cfg, "--seed", "9", "--n-spectra", "150",
+                         "--threads", threads, "--output", str(data)]) == 0
+            assert main(["train", "--dataset", str(data), "--seed", "3", "--trees", "4", "--max-features", "8",
+                         "--min-leaf", "2", "--threads", threads, "--output", str(model)]) == 0
+        for name in ("data{}.json", "model{}.json", "model{}.json.oob.csv"):
+            serial = (tmp_path / name.format("1")).read_bytes()
+            assert [(tmp_path / name.format(t)).read_bytes() for t in ("0", "-3")] == [serial, serial]
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "mrsquant.cli", "--help"],

@@ -85,7 +85,7 @@ class TestDatasetFile:
         assert lines[start + ds.n_spectra:] == ["]}", ""]
         for i, line in enumerate(lines[start:start + ds.n_spectra]):
             expected = json.dumps({
-                "labels": ds.label_map(i),
+                "labels": dict(zip(ds.target_names, ds.labels[i].tolist())) if with_labels else None,
                 "truth_params": ds.truth_params[i] if with_labels else None,
                 "spectrum_b64": fileio.encode_spectrum(ds.values[i]),
             })

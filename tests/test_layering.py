@@ -6,8 +6,9 @@ checked by errors.integer alone, so no module keeps its own copy of the
 check.  A refused file is named by fileio.load_json alone, and an error's exit
 code is its class's exit_code, so cli catches no single error class.  The
 feature representation (window, Cr divisor, DTFT regridding and its kind
-name) is defined in pipeline alone.  The modules are read with ast, not
-imported.
+name) is defined in pipeline alone.  Work is spread over processes by
+workers alone, the one module that imports multiprocessing or
+concurrent.futures.  The modules are read with ast, not imported.
 """
 
 import ast
@@ -145,3 +146,21 @@ def test_feature_decision_lives_in_pipeline():
     owners = {name: [module for module in MODULES if name in set(_defined(_tree(module)))]
               for name in FEATURE_DECISION}
     assert owners == {name: ["pipeline"] for name in FEATURE_DECISION}
+
+
+PROCESS_PACKAGES = ("multiprocessing", "concurrent")
+
+
+def _imported_packages(tree):
+    """Top-level names of the packages a module imports, anywhere in it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_process_spreading_lives_in_workers_alone():
+    importers = {package: [module for module in MODULES if package in set(_imported_packages(_tree(module)))]
+                 for package in PROCESS_PACKAGES}
+    assert importers == {package: ["workers"] for package in PROCESS_PACKAGES}
