@@ -23,14 +23,8 @@ EXPERIMENT_NAMES = (
 _PREPROCESS_BY_DEFAULT = {"real-real-images", "synthetic-real-images"}
 
 
-def relative_error(estimate, truth):
-    """|estimate - truth| / |truth|; undefined at truth == 0."""
-    if truth == 0:
-        raise UndefinedResultError("relative error is undefined for truth == 0")
-    return abs(estimate - truth) / abs(truth)
-
-
 def relative_errors(estimates, truths):
+    """Elementwise |estimate - truth| / |truth|; undefined where a truth is 0."""
     estimates = np.asarray(estimates, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     if np.any(truths == 0):

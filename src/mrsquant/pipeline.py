@@ -42,7 +42,7 @@ def dtft_matrix(params, reference_ppm, target_grid):
     """Complex (n_grid, n_points) map from spectra at params and reference_ppm to their DTFT at target_grid.
 
     Row g evaluates the discrete-time Fourier transform of the FID behind
-    a spectrum (the inverse of ``fid_to_spectrum``) at the Hz offset of
+    a spectrum (the inverse of ``spectra_from_fids``) at the Hz offset of
     target_grid[g], so ``values @ W.T`` regrids a whole batch of spectra
     with no interpolation error.  On the source axis itself W is the
     identity; on a finer grid it reproduces a zero-filled FFT.  Grid points

@@ -1,10 +1,11 @@
 """Discrete signal model: damped complex exponentials and their spectra.
 
-A free induction decay is synthesized as a finite sum of Lorentzian
-components, each a complex exponential at a chemical-shift offset with an
-exponential T2* envelope.  Frequency-domain spectra are obtained through
-the discrete Fourier transform with bins mapped onto a descending ppm
-axis (downfield first, reference at the center).
+A free induction decay is a finite sum of Lorentzian lines, each a complex
+exponential at a chemical-shift offset with an exponential T2* envelope;
+``lorentzian_fids`` synthesizes many of them at once.  ``spectra_from_fids``
+takes their discrete Fourier transform with bins mapped onto a descending
+ppm axis (downfield first, reference at the center; see ``ppm_axis``).
+The inverse map, spectrum to FID, lives inside ``pipeline.dtft_matrix``.
 """
 
 import math
@@ -35,11 +36,11 @@ class AcquisitionParams:
     repetition_time: float | None = None
 
     def __post_init__(self):
-        if not self.spectral_width > 0:
-            raise ValidationError(f"spectral_width must be > 0, got {self.spectral_width}")
+        if not 0 < self.spectral_width < math.inf:
+            raise ValidationError(f"spectral_width must be > 0, got {self.spectral_width} (finite values only)")
         object.__setattr__(self, "n_points", integer("n_points", self.n_points, 2))
-        if not self.transmitter_freq > 0:
-            raise ValidationError(f"transmitter_freq must be > 0, got {self.transmitter_freq}")
+        if not 0 < self.transmitter_freq < math.inf:
+            raise ValidationError(f"transmitter_freq must be > 0, got {self.transmitter_freq} (finite values only)")
 
 
 @dataclass(frozen=True)
@@ -56,30 +57,14 @@ class LorentzianComponent:
             raise ValidationError(f"shift and phase must be finite, got {self.chemical_shift}, {self.phase0}")
         if not self.t2 > 0:
             raise ValidationError(f"t2 must be > 0, got {self.t2}")
-        if self.amplitude < 0:
-            raise ValidationError(f"amplitude must be >= 0, got {self.amplitude}")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValidationError(f"amplitude must be >= 0, got {self.amplitude} (finite values only)")
 
 
 def _readonly(arr):
     arr = np.asarray(arr)
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class TimeSignal:
-    """Complex time-domain samples plus the acquisition that produced them."""
-
-    samples: np.ndarray
-    params: AcquisitionParams
-
-    def __post_init__(self):
-        samples = _readonly(np.asarray(self.samples, dtype=np.complex128))
-        if samples.ndim != 1 or samples.size != self.params.n_points:
-            raise ValidationError(
-                f"samples must be a 1-D array of length {self.params.n_points}, got shape {samples.shape}"
-            )
-        object.__setattr__(self, "samples", samples)
 
 
 @dataclass(frozen=True)
@@ -104,10 +89,6 @@ class ComplexSpectrum:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ppm_axis", axis)
 
-    def nearest_bin(self, ppm):
-        """Index of the axis bin closest to the given ppm value."""
-        return int(np.argmin(np.abs(self.ppm_axis - ppm)))
-
 
 def ppm_axis(params, reference_ppm=DEFAULT_REFERENCE_PPM):
     """Descending ppm axis covering the full spectral width, centered on the reference.
@@ -126,23 +107,6 @@ def grids_match(a, b, tol=1e-9):
     a = np.asarray(a)
     b = np.asarray(b)
     return a.shape == b.shape and bool(np.all(np.abs(a - b) <= tol))
-
-
-def synthesize_fid(components, params, reference_ppm=DEFAULT_REFERENCE_PPM):
-    """Sum of damped complex exponentials sampled at the acquisition dwell time.
-
-    Each component contributes
-    ``amplitude * exp(i*(2*pi*f*t + phase0)) * exp(-t/t2)`` where f is its
-    Hz offset from the reference.  An empty component list yields the zero
-    signal.
-    """
-    if not isinstance(params, AcquisitionParams):
-        raise ValidationError("params must be an AcquisitionParams instance")
-    shifts, amps, t2s, phases = np.array(
-        [(c.chemical_shift, c.amplitude, c.t2, c.phase0) for c in components], dtype=np.float64
-    ).reshape(-1, 4).T
-    (fid,) = lorentzian_fids(params, reference_ppm, shifts, amps[None], t2s[None], phases, [len(shifts)])
-    return TimeSignal(fid[0], params)
 
 
 def lorentzian_fids(params, reference_ppm, shifts, amplitudes, t2s, phases, sizes):
@@ -179,21 +143,7 @@ def _bin_order(n):
     return (n // 2 - np.arange(n)) % n
 
 
-def fid_to_spectrum(fid, reference_ppm=DEFAULT_REFERENCE_PPM):
-    """DFT of the FID, reordered so index 0 is the most-downfield (highest ppm) bin."""
-    values = spectra_from_fids(fid.samples)
-    return ComplexSpectrum(values, ppm_axis(fid.params, reference_ppm), fid.params)
-
-
 def spectra_from_fids(fids):
     """Spectrum values of FIDs along the last axis: DFT of each row, downfield bin first."""
     return np.fft.fft(fids)[..., _bin_order(fids.shape[-1])]
 
-
-def spectrum_to_fid(spec):
-    """Inverse of fid_to_spectrum; the round trip is the identity to float precision."""
-    n = spec.params.n_points
-    transformed = np.empty(n, dtype=np.complex128)
-    transformed[_bin_order(n)] = spec.values
-    samples = np.fft.ifft(transformed)
-    return TimeSignal(samples, spec.params)

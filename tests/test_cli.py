@@ -134,6 +134,34 @@ class TestSimulate:
         assert "baseline_amplitude_range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,field", [("spectral_width_hz", "spectral_width"),
+                                           ("transmitter_freq_mhz", "transmitter_freq")])
+    def test_infinite_acquisition_exits_2_naming_field(self, tmp_path, capsys, key, field):
+        # an inf transmitter frequency wrote all-NaN spectra and exited 0
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps({"acquisition": {**ACQ_SMALL, key: "INF"}}).replace('"INF"', "1e400"))
+        out = tmp_path / "x.json"
+        code = main(["simulate", "--config", str(cfg), "--seed", "1", "--n-spectra", "2",
+                     "--output", str(out)])
+        assert code == 2
+        assert f"{cfg}: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude", ["NaN", "1e400"])
+    def test_non_finite_basis_amplitude_exits_2_naming_field(self, tmp_path, capsys, amplitude):
+        # such a basis line made every spectrum non-finite and exited 0
+        basis = tmp_path / "basis.json"
+        fileio.write_basis(basis, default_brain_basis(fileio.acquisition_from_dict(ACQ_SMALL)))
+        doc = json.loads(basis.read_text())
+        doc["metabolites"][0]["components"][0]["amplitude"] = "AMP"
+        basis.write_text(json.dumps(doc).replace('"AMP"', amplitude))
+        out = tmp_path / "x.json"
+        code = main(["simulate", "--basis", str(basis), "--seed", "1", "--n-spectra", "2",
+                     "--output", str(out)])
+        assert code == 2
+        assert f"{basis}: amplitude must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n-spectra", "3", "--output", str(tmp_path / "x.json")])

@@ -14,7 +14,7 @@ from mrsquant.evaluate import (
     boxplot_stats,
     kfold_split,
     r_score,
-    relative_error,
+    relative_errors,
     run_experiment,
 )
 from mrsquant.forest import ForestConfig, fit_forest, slice_forest
@@ -43,19 +43,19 @@ def clean_dataset(n, seed):
 
 class TestRelativeError:
     def test_zero_at_equality(self):
-        assert relative_error(1.5, 1.5) == 0.0
+        assert relative_errors([1.5], [1.5])[0] == 0.0
 
     def test_arithmetic(self):
-        assert relative_error(1.1, 1.0) == pytest.approx(0.1)
-        assert relative_error(0.0, 2.0) == 1.0
+        assert relative_errors([1.1], [1.0])[0] == pytest.approx(0.1)
+        assert relative_errors([0.0], [2.0])[0] == 1.0
 
     def test_scale_invariance(self):
-        for c in (3.0, -17.5, 1e-4):
-            assert relative_error(c * 1.3, c * 1.1) == pytest.approx(relative_error(1.3, 1.1))
+        c = np.array([3.0, -17.5, 1e-4])
+        assert relative_errors(c * 1.3, c * 1.1) == pytest.approx(relative_errors([1.3], [1.1])[0])
 
     def test_zero_truth_rejected(self):
         with pytest.raises(UndefinedResultError):
-            relative_error(1.0, 0.0)
+            relative_errors([1.0, 2.0], [1.0, 0.0])
 
 
 class TestRScore:

@@ -12,15 +12,10 @@ from mrsquant.pipeline import (
     dtft_matrix,
     features_for_dataset,
 )
-from mrsquant.signal import (
-    AcquisitionParams,
-    LorentzianComponent,
-    TimeSignal,
-    fid_to_spectrum,
-    spectrum_to_fid,
-    synthesize_fid,
-)
+from mrsquant.signal import AcquisitionParams, LorentzianComponent, ppm_axis, spectra_from_fids
 from mrsquant.simulate import SimulationConfig, simulate_dataset
+
+from test_signal import line_fid
 
 TRAIN_PARAMS = AcquisitionParams(spectral_width=2500.0, n_points=1024, transmitter_freq=127.7)
 MRSI_PARAMS = AcquisitionParams(spectral_width=2000.0, n_points=400, transmitter_freq=127.7)
@@ -39,8 +34,7 @@ def noiseless(params, t2):
     # NAA, the two Cr lines and Cho with one shared T2*
     comps = [LorentzianComponent(2.01, 1.3, t2), LorentzianComponent(3.03, 0.6, t2),
              LorentzianComponent(3.91, 0.4, t2), LorentzianComponent(3.19, 0.3, t2)]
-    spec = fid_to_spectrum(synthesize_fid(comps, params, 4.7), 4.7)
-    return Dataset(params, 4.7, spec.values[None, :], ["NAA/Cr"])
+    return Dataset(params, 4.7, spectra_from_fids(line_fid(comps, params))[None, :], ["NAA/Cr"])
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +151,14 @@ class TestDtft:
     def test_matches_zero_filled_fft(self):
         spec = example_spectrum(MRSI_PARAMS)
         n = MRSI_PARAMS.n_points
-        padded = np.concatenate([spectrum_to_fid(spec).samples, np.zeros(3 * n)])
+        # the FID behind the spectrum: axis position j holds DFT bin (n//2 - j) mod n
+        dft = np.empty(n, dtype=complex)
+        dft[(n // 2 - np.arange(n)) % n] = spec.values
+        padded = np.concatenate([np.fft.ifft(dft), np.zeros(3 * n)])
         fine = AcquisitionParams(MRSI_PARAMS.spectral_width, 4 * n, MRSI_PARAMS.transmitter_freq)
-        zero_filled = fid_to_spectrum(TimeSignal(padded, fine), 4.7)
-        out = dtft_matrix(MRSI_PARAMS, 4.7, zero_filled.ppm_axis) @ spec.values
-        rel = np.max(np.abs(out - zero_filled.values)) / np.max(np.abs(zero_filled.values))
+        zero_filled = spectra_from_fids(padded)
+        out = dtft_matrix(MRSI_PARAMS, 4.7, ppm_axis(fine, 4.7)) @ spec.values
+        rel = np.max(np.abs(out - zero_filled)) / np.max(np.abs(zero_filled))
         assert rel <= 1e-9
 
     def test_outside_band_raises(self):
