@@ -159,12 +159,12 @@ def combination_values(basis, names, concentrations, t2_scales):
     return total
 
 
-def default_brain_basis(params, reference_ppm=DEFAULT_REFERENCE_PPM, t2=DEFAULT_COMPONENT_T2):
+def default_brain_basis(params, reference_ppm=DEFAULT_REFERENCE_PPM):
     """Built-in five-metabolite basis (NAA, Cr, Cho, mI, Glx) at the given acquisition."""
     metabolites = tuple(
         MetaboliteBasis(
             name,
-            tuple(LorentzianComponent(shift, amp, t2, 0.0) for shift, amp in lines),
+            tuple(LorentzianComponent(shift, amp, DEFAULT_COMPONENT_T2, 0.0) for shift, amp in lines),
         )
         for name, lines in _BRAIN_BASIS_LINES.items()
     )

@@ -25,7 +25,7 @@ class Dataset:
     reference_ppm: float
     values: np.ndarray  # (n_spectra, n_points) complex
     target_names: list
-    labels: np.ndarray | None = None  # (n_spectra, n_targets)
+    labels: np.ndarray | None = None  # (n_spectra, n_targets), finite
     truth_params: list | None = None
     config: dict | None = None
     fingerprint: str | None = None
@@ -41,6 +41,9 @@ class Dataset:
                     f"labels shape {self.labels.shape} must be (n_spectra, n_targets)="
                     f"({self.values.shape[0]}, {len(self.target_names)})"
                 )
+            bad = np.flatnonzero(~np.isfinite(self.labels).all(axis=1))
+            if bad.size:
+                raise ValidationError(f"row {bad[0]} has a non-finite label (NaN or inf)")
 
     @cached_property
     def ppm_axis(self):

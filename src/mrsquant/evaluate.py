@@ -46,21 +46,6 @@ def r_score(estimates, truths):
     return float(np.clip(np.sum(de * dt) / denom, -1.0, 1.0))
 
 
-def boxplot_stats(errors):
-    """Order statistics with interpolated quartiles and midpoint median."""
-    errors = np.asarray(errors, dtype=np.float64)
-    if errors.size == 0:
-        raise ValidationError("boxplot_stats needs a nonempty vector")
-    return {
-        "min": float(np.min(errors)),
-        "q1": float(np.quantile(errors, 0.25)),
-        "median": float(np.quantile(errors, 0.5)),
-        "q3": float(np.quantile(errors, 0.75)),
-        "max": float(np.max(errors)),
-        "mean": float(np.mean(errors)),
-    }
-
-
 def kfold_split(n, k, seed):
     """Random partition into k folds with sizes differing by at most one."""
     n, k, seed = integer("n", n, 0), integer("k", k, 0), integer("seed", seed, 0)
@@ -72,23 +57,18 @@ def kfold_split(n, k, seed):
 
 
 def summarize_errors(estimates, truths):
-    """Stats block for a report: error order statistics plus pearson_r."""
+    """Stats block for a report: relative-error order statistics (interpolated quartiles) plus pearson_r."""
     errors = relative_errors(estimates, truths)
-    stats = boxplot_stats(errors)
-    out = {
-        "median_error": stats["median"],
-        "min_error": stats["min"],
-        "max_error": stats["max"],
-        "mean_error": stats["mean"],
-        "q1_error": stats["q1"],
-        "q3_error": stats["q3"],
-        "pearson_r": r_score(estimates, truths),
+    pearson_r = r_score(estimates, truths)
+    return {
+        "median_error": float(np.quantile(errors, 0.5)),
+        "min_error": float(np.min(errors)),
+        "max_error": float(np.max(errors)),
+        "mean_error": float(np.mean(errors)),
+        "q1_error": float(np.quantile(errors, 0.25)),
+        "q3_error": float(np.quantile(errors, 0.75)),
+        "pearson_r": pearson_r,
     }
-    if not (out["min_error"] <= out["median_error"] <= out["max_error"]):
-        raise ValidationError("summary order statistics are inconsistent")
-    if not -1.0 <= out["pearson_r"] <= 1.0:
-        raise ValidationError("pearson_r outside [-1, 1]")
-    return out
 
 
 @dataclass(frozen=True)

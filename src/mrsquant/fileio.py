@@ -485,7 +485,11 @@ def write_model(path, model):
 
 
 def read_model(path):
-    """Model from a file; a missing or malformed field or tree raises FileFormatError."""
+    """Model from a file; a missing or malformed field or tree raises FileFormatError.
+
+    The trees and the feature grid and crop bounds must be finite; the OOB
+    curves may hold NaN, which a model trained without out-of-bag samples has.
+    """
     def build(data):
         fdict = data["feature"]
         if fdict["kind"] != FEATURE_KIND:
@@ -497,6 +501,9 @@ def read_model(path):
             crop_lo=float(fdict["crop_lo_ppm"]),
             acquisition=acquisition_from_dict(fdict["acquisition"]),
         )
+        for key, value in (("grid_ppm", meta.grid), ("crop_hi_ppm", meta.crop_hi), ("crop_lo_ppm", meta.crop_lo)):
+            if not np.isfinite(value).all():
+                raise FileFormatError(f"feature {key} holds a non-finite value (NaN or inf)")
         target_names = list(data["target_names"])
         forests = [[_tree_from_dict(name, i, t) for i, t in enumerate(data["forests"][name])]
                    for name in target_names]

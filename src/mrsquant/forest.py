@@ -41,7 +41,8 @@ class RegressionTree:
     """CART tree as flat arrays; feature[i] == -1 marks node i as a leaf.
 
     Children follow their parent (left[i], right[i] > i), so every walk from
-    the root ends at a leaf; the constructor refuses any other layout.
+    the root ends at a leaf; the constructor refuses any other layout, and a
+    NaN or infinite threshold or value.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
@@ -68,6 +69,8 @@ class RegressionTree:
                 "tree nodes must be leaves (feature -1, children -1) or splits on a feature "
                 ">= 0 whose children lie after them"
             )
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.value).all()):
+            raise ValidationError("tree thresholds and values must be finite (no NaN or inf)")
 
     @property
     def n_nodes(self):
@@ -290,7 +293,7 @@ class RandomForestModel:
     feature_meta: object = None
     dataset_fingerprint: str | None = None
     # always None: kept only because perfbench/layers.py:model_stats reads it (ROADMAP item 15)
-    inbag_counts: list | None = None
+    inbag_counts = None
 
     def __post_init__(self):
         if not self.target_names:

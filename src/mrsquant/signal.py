@@ -26,7 +26,7 @@ class AcquisitionParams:
     """Spectrometer acquisition settings.
 
     spectral_width is in Hz, transmitter_freq in MHz; echo_time and
-    repetition_time (ms) are carried as metadata only.
+    repetition_time (ms), finite or None, are carried as metadata only.
     """
 
     spectral_width: float
@@ -41,6 +41,10 @@ class AcquisitionParams:
         object.__setattr__(self, "n_points", integer("n_points", self.n_points, 2))
         if not 0 < self.transmitter_freq < math.inf:
             raise ValidationError(f"transmitter_freq must be > 0, got {self.transmitter_freq} (finite values only)")
+        for name in ("echo_time", "repetition_time"):
+            value = getattr(self, name)
+            if not (value is None or math.isfinite(value)):
+                raise ValidationError(f"{name} must be a number or None, got {value} (finite values only)")
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,11 @@ def ppm_axis(params, reference_ppm=DEFAULT_REFERENCE_PPM):
     return reference_ppm + ((params.n_points // 2) * step - j * step) / params.transmitter_freq
 
 
-def grids_match(a, b, tol=1e-9):
-    """Whether two ppm axes have the same length and agree within tol at every bin."""
+def grids_match(a, b):
+    """Whether two ppm axes have the same length and agree within 1e-9 ppm at every bin."""
     a = np.asarray(a)
     b = np.asarray(b)
-    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= tol))
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= 1e-9))
 
 
 def lorentzian_fids(params, reference_ppm, shifts, amplitudes, t2s, phases, sizes):

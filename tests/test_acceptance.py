@@ -19,7 +19,7 @@ from mrsquant import fileio
 from mrsquant.basis import default_brain_basis
 from mrsquant.cli import main
 from mrsquant.dataset import Dataset, dataset_from_labeled
-from mrsquant.evaluate import boxplot_stats, kfold_split, r_score, relative_errors
+from mrsquant.evaluate import kfold_split, r_score, relative_errors, summarize_errors
 from mrsquant.forest import ForestConfig, fit_forest, fit_tree, slice_forest
 from mrsquant.pipeline import dtft_matrix, oracle_ratios, predict_dataset, train_model
 from mrsquant.signal import AcquisitionParams, LorentzianComponent, ppm_axis, spectra_from_fids
@@ -315,8 +315,10 @@ def test_criterion_7_metric_suite():
         affine_ok &= abs(r_score(a * truths + b, truths) - 1.0) <= 1e-12
     checks.append(("pearson affine invariance", affine_ok, ""))
 
-    stats = boxplot_stats([1.0, 2.0, 3.0, 4.0])
-    box_ok = stats["median"] == 2.5 and stats["min"] == 1.0 and stats["max"] == 4.0
+    # truths are powers of two, so the relative errors are exactly 1, 2, 3, 4
+    box_truths = np.array([1.0, 2.0, 4.0, 8.0])
+    stats = summarize_errors(box_truths * np.array([2.0, 3.0, 4.0, 5.0]), box_truths)
+    box_ok = stats["median_error"] == 2.5 and stats["min_error"] == 1.0 and stats["max_error"] == 4.0
     checks.append(("boxplot order statistics", box_ok, ""))
 
     folds = kfold_split(287, 10, seed=0)

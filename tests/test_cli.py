@@ -135,9 +135,12 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("key,field", [("spectral_width_hz", "spectral_width"),
-                                           ("transmitter_freq_mhz", "transmitter_freq")])
+                                           ("transmitter_freq_mhz", "transmitter_freq"),
+                                           ("echo_time_ms", "echo_time"),
+                                           ("repetition_time_ms", "repetition_time")])
     def test_infinite_acquisition_exits_2_naming_field(self, tmp_path, capsys, key, field):
-        # an inf transmitter frequency wrote all-NaN spectra and exited 0
+        # an inf transmitter frequency wrote all-NaN spectra and exited 0; an inf
+        # echo or repetition time was written into the dataset as Infinity
         cfg = tmp_path / "inf.json"
         cfg.write_text(json.dumps({"acquisition": {**ACQ_SMALL, key: "INF"}}).replace('"INF"', "1e400"))
         out = tmp_path / "x.json"
@@ -287,6 +290,26 @@ class TestUnreadableDataset:
             assert run(tmp_path, bad) == 2
             err = capsys.readouterr().err
             assert str(bad) in err and "record 5" in err
+
+    @pytest.mark.parametrize("label", [float("nan"), float("inf")])
+    def test_non_finite_label_exits_2_naming_the_row(self, tmp_path, capsys, label):
+        # predict never reads labels, and exited 0 on such a file
+        def poison(doc):
+            doc["records"][3]["labels"]["NAA/Cr"] = label
+
+        data = simulate(tmp_path, n=8)
+        bad = self._rewritten(tmp_path, data, poison)
+        assert self._train(tmp_path, bad) == 2
+        assert not (tmp_path / "m.json").exists()
+        assert self._evaluate(tmp_path, bad) == 2
+        assert not (tmp_path / "r.json").exists()
+        assert self._train(tmp_path, data) == 0
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(tmp_path / "m.json"), "--spectra", str(bad),
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+        errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("error: ")]
+        assert len(errors) == 3 and all(f"{bad}: row 3 has a non-finite label" in e for e in errors)
 
     def test_bootstrap_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

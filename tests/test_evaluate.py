@@ -11,11 +11,11 @@ from mrsquant.errors import GridCompatibilityError, UndefinedResultError, Valida
 from mrsquant.evaluate import (
     EXPERIMENT_NAMES,
     ExperimentSpec,
-    boxplot_stats,
     kfold_split,
     r_score,
     relative_errors,
     run_experiment,
+    summarize_errors,
 )
 from mrsquant.forest import ForestConfig, fit_forest, slice_forest
 from mrsquant.lsqfit import lsq_fit_batch
@@ -81,23 +81,35 @@ class TestRScore:
 
 
 class TestBoxplotStats:
+    """The order statistics of the relative errors in summarize_errors' block.
+
+    Truths are powers of two and estimates truth * (1 + e), so the relative
+    errors are exactly e.
+    """
+
+    TRUTHS = np.array([1.0, 2.0, 4.0, 8.0])
+    ORDER_KEYS = ("min_error", "q1_error", "median_error", "q3_error", "max_error")
+
     def test_single_value(self):
-        stats = boxplot_stats([5.0])
-        assert all(stats[k] == 5.0 for k in ("min", "q1", "median", "q3", "max", "mean"))
+        stats = summarize_errors(self.TRUTHS * 6.0, self.TRUTHS)  # every error is 5
+        assert all(stats[k] == 5.0 for k in (*self.ORDER_KEYS, "mean_error"))
 
     def test_even_length_median_is_midpoint(self):
-        stats = boxplot_stats([1.0, 2.0, 3.0, 4.0])
-        assert stats["median"] == 2.5
-        assert stats["min"] == 1.0 and stats["max"] == 4.0
+        stats = summarize_errors(self.TRUTHS * (1 + np.array([1.0, 2.0, 3.0, 4.0])), self.TRUTHS)
+        assert stats["median_error"] == 2.5
+        assert stats["min_error"] == 1.0 and stats["max_error"] == 4.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
-        v = rng.uniform(size=31)
-        assert boxplot_stats(v) == boxplot_stats(v[rng.permutation(31)])
+        truths = 2.0 ** rng.integers(-3, 4, size=31)
+        estimates = truths * (1 + rng.uniform(size=31))
+        perm = rng.permutation(31)
+        a, b = summarize_errors(estimates, truths), summarize_errors(estimates[perm], truths[perm])
+        assert [a[k] for k in self.ORDER_KEYS] == [b[k] for k in self.ORDER_KEYS]
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            boxplot_stats([])
+            summarize_errors([], [])
 
 
 class TestKfold:

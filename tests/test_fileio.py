@@ -65,6 +65,14 @@ class TestDatasetFile:
         assert np.array_equal(loaded.ppm_axis, ds.ppm_axis)
         assert loaded.params == ds.params
 
+    @pytest.mark.parametrize("label", [np.nan, np.inf])
+    def test_non_finite_label_refused_naming_the_row(self, label):
+        ds = small_dataset()
+        labels = ds.labels.copy()
+        labels[5, 1] = label
+        with pytest.raises(ValidationError, match="row 5 has a non-finite label"):
+            Dataset(ds.params, ds.reference_ppm, ds.values, ds.target_names, labels)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         ds = small_dataset()
         a = tmp_path / "a.json"
@@ -236,6 +244,44 @@ class TestModelFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(UnsupportedVersionError):
             fileio.read_model(path)
+
+    def _refused(self, tmp_path, edit, message):
+        model, _ = self._model()
+        path = tmp_path / "model.json"
+        fileio.write_model(path, model)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError) as exc:
+            fileio.read_model(path)
+        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+        assert exc.value.exit_code == 2
+
+    def test_non_finite_threshold_refused(self, tmp_path):
+        def edit(doc):
+            tree = doc["forests"]["NAA/Cr"][1]
+            assert tree["feature"][0] >= 0  # the root splits
+            tree["threshold"][0] = math.nan
+
+        self._refused(tmp_path, edit, "tree 1 of target 'NAA/Cr': tree thresholds and values must be finite")
+
+    def test_non_finite_leaf_value_refused(self, tmp_path):
+        def edit(doc):
+            tree = doc["forests"]["Cho/Cr"][0]
+            tree["value"][tree["feature"].index(-1)] = math.inf
+
+        self._refused(tmp_path, edit, "tree 0 of target 'Cho/Cr': tree thresholds and values must be finite")
+
+    @pytest.mark.parametrize("key,value", [("grid_ppm", math.nan), ("grid_ppm", -math.inf),
+                                           ("crop_hi_ppm", math.inf), ("crop_lo_ppm", math.nan)])
+    def test_non_finite_grid_or_crop_refused(self, tmp_path, key, value):
+        def edit(doc):
+            if key == "grid_ppm":
+                doc["feature"]["grid_ppm"][40] = value
+            else:
+                doc["feature"][key] = value
+
+        self._refused(tmp_path, edit, f"feature {key} holds a non-finite value")
 
     def test_other_feature_kind_refused(self, tmp_path):
         # a model trained on differently scaled features must not be applied silently

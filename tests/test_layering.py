@@ -8,11 +8,14 @@ code is its class's exit_code, so cli catches no single error class.  The
 feature representation (window, Cr divisor, DTFT regridding and its kind
 name) is defined in pipeline alone.  Work is spread over processes by
 workers alone, the one module that imports multiprocessing or
-concurrent.futures.  The modules are read with ast, not imported.
+concurrent.futures.  The package and its tests parse with the grammar of
+the oldest Python they support.  The modules are read with ast, not imported.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mrsquant"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -164,3 +167,22 @@ def test_process_spreading_lives_in_workers_alone():
     importers = {package: [module for module in MODULES if package in set(_imported_packages(_tree(module)))]
                  for package in PROCESS_PACKAGES}
     assert importers == {package: ["workers"] for package in PROCESS_PACKAGES}
+
+
+def test_sources_parse_with_the_python_3_10_grammar():
+    """Every module of the package and of the tests parses as Python 3.10, the oldest requires-python allows.
+
+    So syntax that only a later Python accepts, such as except*, fails on
+    any interpreter.  This is best effort: ast's feature_version covers the
+    grammar, not the library, so a call to a function added after 3.10 passes.
+    """
+    with pytest.raises(SyntaxError):  # the check can refuse
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    tests = Path(__file__).resolve().parent
+    refused = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py")):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=(3, 10))
+        except SyntaxError as e:
+            refused.append(f"{path.name}:{e.lineno}: {e.msg}")
+    assert refused == []

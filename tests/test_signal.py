@@ -57,6 +57,10 @@ class TestAcquisitionParams:
             {"spectral_width": np.nan, "n_points": 16},
             {"spectral_width": 2500.0, "n_points": 16, "transmitter_freq": np.inf},
             {"spectral_width": 2500.0, "n_points": 16, "transmitter_freq": np.nan},
+            {"spectral_width": 2500.0, "n_points": 16, "echo_time": np.inf},
+            {"spectral_width": 2500.0, "n_points": 16, "echo_time": np.nan},
+            {"spectral_width": 2500.0, "n_points": 16, "repetition_time": np.inf},
+            {"spectral_width": 2500.0, "n_points": 16, "repetition_time": np.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
