@@ -22,7 +22,8 @@ import numpy as np
 
 from .basis import basis_from_config, basis_from_dict, basis_to_dict
 from .dataset import Dataset, config_fingerprint
-from .errors import FileFormatError, MrsQuantError, UnsupportedVersionError, ValidationError, known_keys
+from .errors import (FileFormatError, GridCompatibilityError, MrsQuantError, UnsupportedVersionError,
+                     ValidationError, known_keys)
 from .evaluate import EvalReport
 from .forest import ForestConfig, RandomForestModel, RegressionTree
 from .pipeline import FEATURE_KIND, FeatureMeta
@@ -461,9 +462,8 @@ def write_model(path, model):
         "target_names": list(model.target_names),
         "feature": {
             "kind": FEATURE_KIND,
-            "crop_hi_ppm": meta.crop_hi,
-            "crop_lo_ppm": meta.crop_lo,
             "acquisition": acquisition_to_dict(meta.acquisition),
+            "reference_ppm": meta.reference_ppm,
             "grid_ppm": meta.grid.tolist(),
         },
         "oob": {
@@ -487,23 +487,22 @@ def write_model(path, model):
 def read_model(path):
     """Model from a file; a missing or malformed field or tree raises FileFormatError.
 
-    The trees and the feature grid and crop bounds must be finite; the OOB
-    curves may hold NaN, which a model trained without out-of-bag samples has.
+    The stored grid_ppm must be the grid the feature acquisition and reference_ppm give, and the trees
+    must be finite; the OOB curves may hold NaN, which a model trained without out-of-bag samples has.
     """
     def build(data):
         fdict = data["feature"]
-        if fdict["kind"] != FEATURE_KIND:
-            raise UnsupportedVersionError(f"feature kind {fdict['kind']!r} is not supported "
-                                          f"(expected {FEATURE_KIND!r}); retrain the model")
-        meta = FeatureMeta(
-            grid=np.asarray(fdict["grid_ppm"], dtype=np.float64),
-            crop_hi=float(fdict["crop_hi_ppm"]),
-            crop_lo=float(fdict["crop_lo_ppm"]),
-            acquisition=acquisition_from_dict(fdict["acquisition"]),
-        )
-        for key, value in (("grid_ppm", meta.grid), ("crop_hi_ppm", meta.crop_hi), ("crop_lo_ppm", meta.crop_lo)):
-            if not np.isfinite(value).all():
-                raise FileFormatError(f"feature {key} holds a non-finite value (NaN or inf)")
+        if fdict["kind"] != FEATURE_KIND or "reference_ppm" not in fdict:  # older models store crop bounds instead
+            missing = "" if "reference_ppm" in fdict else " with no reference_ppm"
+            raise UnsupportedVersionError(f"feature kind {fdict['kind']!r}{missing} is not supported (expected "
+                                          f"{FEATURE_KIND!r} with a reference_ppm); retrain the model")
+        meta = FeatureMeta(acquisition_from_dict(fdict["acquisition"]), float(fdict["reference_ppm"]))
+        try:
+            meta.grid
+        except GridCompatibilityError as e:  # a non-finite reference_ppm, or bins too wide for the window
+            raise FileFormatError(f"feature acquisition and reference_ppm give no model grid: {e}") from e
+        if not grids_match(fdict["grid_ppm"], meta.grid):  # the grid every reader uses is derived
+            raise FileFormatError("stored grid_ppm is not the window of the acquisition's axis at reference_ppm")
         target_names = list(data["target_names"])
         forests = [[_tree_from_dict(name, i, t) for i, t in enumerate(data["forests"][name])]
                    for name in target_names]

@@ -9,13 +9,14 @@ whole dataset, which keeps every peak's height.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridCompatibilityError, UndefinedResultError, ValidationError
 from .forest import fit_forest
 from .lsqfit import lsq_fit_batch
-from .signal import _bin_order, grids_match
+from .signal import _bin_order, grids_match, ppm_axis
 
 # Quantification window in ppm, downfield bound first.
 CROP_HI_PPM = 4.3
@@ -30,12 +31,16 @@ FEATURE_KIND = "real_cr_normalized"
 
 @dataclass(frozen=True)
 class FeatureMeta:
-    """Everything needed to map any spectrum onto a trained model's input space."""
+    """Everything needed to map any spectrum onto a trained model's input space: the training axis."""
 
-    grid: np.ndarray
-    crop_hi: float
-    crop_lo: float
     acquisition: object
+    reference_ppm: float
+
+    @cached_property
+    def grid(self):
+        """The model grid: the training axis inside the quantification window."""
+        axis = ppm_axis(self.acquisition, self.reference_ppm)
+        return axis[_window_mask(axis)]
 
 
 def dtft_matrix(params, reference_ppm, target_grid):
@@ -98,12 +103,8 @@ def _window_mask(axis):
 
 
 def build_feature_space(dataset):
-    """Feature matrix for a training dataset plus the metadata to reuse it.
-
-    The model grid is the dataset's bins inside the quantification window.
-    """
-    mask = _window_mask(dataset.ppm_axis)
-    meta = FeatureMeta(dataset.ppm_axis[mask], CROP_HI_PPM, CROP_LO_PPM, dataset.params)
+    """Feature matrix for a training dataset plus the metadata to reuse it."""
+    meta = FeatureMeta(dataset.params, float(dataset.reference_ppm))
     return meta, features_for_dataset(meta, dataset)
 
 
@@ -113,7 +114,7 @@ def features_for_dataset(meta, dataset, allow_resample=False):
     Spectra on the model grid are cropped; any other acquisition is
     evaluated on the model grid through its exact DTFT.
     """
-    mask = (dataset.ppm_axis >= meta.crop_lo) & (dataset.ppm_axis <= meta.crop_hi)
+    mask = _window_mask(dataset.ppm_axis)
     if grids_match(dataset.ppm_axis[mask], meta.grid):
         raw = dataset.values[:, mask].real
     elif not allow_resample:

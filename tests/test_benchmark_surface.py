@@ -8,6 +8,7 @@ imported, so this test needs nothing the benchmark needs.
 
 import ast
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -86,3 +87,35 @@ def test_simulated_and_trained_objects_keep_the_attributes_the_benchmark_reads(t
     fileio.write_model(tmp_path / "model.json", trained)
     for model in (trained, slice_forest(trained, 1), fileio.read_model(tmp_path / "model.json")):
         assert model.inbag_counts is None
+
+
+def test_written_files_keep_the_keys_the_benchmark_reads(tmp_path):
+    """The keys perfbench/checks.py and perfbench/workloads.py index in dataset and model files."""
+    from mrsquant import fileio
+    from mrsquant.basis import default_brain_basis
+    from mrsquant.forest import ForestConfig
+    from mrsquant.pipeline import train_model
+    from mrsquant.signal import AcquisitionParams
+    from mrsquant.simulate import SimulationConfig
+
+    config = SimulationConfig(basis=default_brain_basis(AcquisitionParams(2500.0, 256)), n_spectra=20, rng_seed=3)
+    fileio.write_simulation(tmp_path / "data.json", config)
+    fileio.write_model(tmp_path / "model.json", train_model(fileio.read_dataset(tmp_path / "data.json"),
+                                                            ForestConfig(n_trees=2, max_features=4, rng_seed=1)))
+    data = json.loads((tmp_path / "data.json").read_text())
+    model = json.loads((tmp_path / "model.json").read_text())
+
+    assert data["format"] == "mrsquant-dataset"
+    assert {"spectral_width_hz", "n_points", "transmitter_freq_mhz"} <= set(data["acquisition"])
+    assert len(data["ppm_axis"]) == data["acquisition"]["n_points"]
+    names = data["target_names"]
+    assert math.isfinite(data["reference_ppm"]) and names == model["target_names"]
+    for record in data["records"]:
+        assert set(record["labels"]) == set(names)
+        assert {"baseline_amplitude", "concentrations"} <= set(record["truth_params"])
+        assert isinstance(record["spectrum_b64"], str)
+
+    assert len(model["feature"]["grid_ppm"]) > 0
+    for name in names:
+        for tree in model["forests"][name]:
+            assert {"feature", "threshold", "left", "right", "value"} <= set(tree)

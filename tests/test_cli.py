@@ -393,6 +393,20 @@ class TestPredict:
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("preprocess", [[], ["--preprocess"]])
+    def test_model_with_a_moved_grid_point_exits_2(self, tmp_path, capsys, preprocess):
+        data = simulate(tmp_path, n=6)
+        model_path = self._train(tmp_path, data)
+        doc = json.loads(model_path.read_text())
+        doc["feature"]["grid_ppm"][40] += 0.5
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "pred.csv"
+        code = main(["predict", "--model", str(model_path), "--spectra", str(data),
+                     "--output", str(out)] + preprocess)
+        assert code == 2
+        assert f"{model_path}: stored grid_ppm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_with_other_feature_kind_exits_2(self, tmp_path):
         data = simulate(tmp_path, n=6)
         model_path = self._train(tmp_path, data)

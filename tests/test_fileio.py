@@ -11,7 +11,7 @@ from mrsquant.dataset import Dataset, dataset_from_labeled
 from mrsquant.errors import FileFormatError, UnsupportedVersionError, ValidationError
 from mrsquant.evaluate import ExperimentSpec, run_experiment, summarize_errors
 from mrsquant.forest import ForestConfig
-from mrsquant.pipeline import features_for_dataset, train_model
+from mrsquant.pipeline import train_model
 from mrsquant.signal import AcquisitionParams, ppm_axis
 from mrsquant.simulate import SimulationConfig, simulate_dataset
 
@@ -183,6 +183,10 @@ class TestDatasetFile:
             fileio.sim_config_from_dict({**d, "snr_rnge": [1e9, 1e9]})
 
 
+OFF_GRID = "stored grid_ppm is not the window of the acquisition's axis at reference_ppm"
+NO_GRID = "feature acquisition and reference_ppm give no model grid"
+
+
 class TestModelFile:
     def _model(self):
         ds = small_dataset(n=30, seed=9)
@@ -209,23 +213,6 @@ class TestModelFile:
         fileio.write_model(b, fileio.read_model(a))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_stored_reference_ppm_is_ignored(self, tmp_path):
-        # files written before the key was dropped still carry feature.reference_ppm
-        model, ds = self._model()
-        path = tmp_path / "model.json"
-        fileio.write_model(path, model)
-        doc = json.loads(path.read_text())
-        assert "reference_ppm" not in doc["feature"]
-        doc["feature"]["reference_ppm"] = ds.reference_ppm
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(doc))
-        X = features_for_dataset(model.feature_meta, ds)
-        expected = fileio.read_model(path).predict_matrix(X)
-        assert np.array_equal(fileio.read_model(old).predict_matrix(X), expected)
-        again = tmp_path / "again.json"
-        fileio.write_model(again, fileio.read_model(old))
-        assert again.read_bytes() == path.read_bytes()
-
     def test_truncated_file_raises(self, tmp_path):
         model, _ = self._model()
         path = tmp_path / "model.json"
@@ -245,13 +232,13 @@ class TestModelFile:
         with pytest.raises(UnsupportedVersionError):
             fileio.read_model(path)
 
-    def _refused(self, tmp_path, edit, message):
+    def _refused(self, tmp_path, edit, message, encode=json.dumps):
         model, _ = self._model()
         path = tmp_path / "model.json"
         fileio.write_model(path, model)
         doc = json.loads(path.read_text())
         edit(doc)
-        path.write_text(json.dumps(doc))
+        path.write_text(encode(doc))
         with pytest.raises(FileFormatError) as exc:
             fileio.read_model(path)
         assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
@@ -272,16 +259,39 @@ class TestModelFile:
 
         self._refused(tmp_path, edit, "tree 0 of target 'Cho/Cr': tree thresholds and values must be finite")
 
-    @pytest.mark.parametrize("key,value", [("grid_ppm", math.nan), ("grid_ppm", -math.inf),
-                                           ("crop_hi_ppm", math.inf), ("crop_lo_ppm", math.nan)])
+    @pytest.mark.parametrize("key,value", [("grid_ppm", math.nan), ("grid_ppm", -math.inf)])
     def test_non_finite_grid_or_crop_refused(self, tmp_path, key, value):
         def edit(doc):
-            if key == "grid_ppm":
-                doc["feature"]["grid_ppm"][40] = value
-            else:
-                doc["feature"][key] = value
+            doc["feature"][key][40] = value
 
-        self._refused(tmp_path, edit, f"feature {key} holds a non-finite value")
+        self._refused(tmp_path, edit, OFF_GRID)
+
+    def test_moved_grid_point_refused(self, tmp_path):
+        def edit(doc):
+            doc["feature"]["grid_ppm"][40] += 0.5
+
+        self._refused(tmp_path, edit, OFF_GRID)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda f: f.update(reference_ppm=math.nan), NO_GRID),
+        (lambda f: f.update(reference_ppm=f["reference_ppm"] + 0.01), OFF_GRID),
+        (lambda f: f["acquisition"].update(spectral_width_hz=100.0), NO_GRID),
+    ], ids=["reference_ppm-nan", "reference_ppm+0.01", "spectral_width_hz-100"])
+    def test_grid_derived_from_the_acquisition(self, tmp_path, change, message):
+        self._refused(tmp_path, lambda doc: change(doc["feature"]), message)
+
+    def test_overflowing_reference_ppm_refused(self, tmp_path):
+        # json reads 1e400 as inf
+        self._refused(tmp_path, lambda doc: doc["feature"].update(reference_ppm=math.inf), NO_GRID,
+                      encode=lambda doc: json.dumps(doc).replace("Infinity", "1e400"))
+
+    def test_model_without_reference_ppm_refused(self, tmp_path):
+        # the feature block of a model that stored its own crop bounds
+        def edit(doc):
+            del doc["feature"]["reference_ppm"]
+            doc["feature"].update(crop_hi_ppm=4.3, crop_lo_ppm=0.2)
+
+        self._refused(tmp_path, edit, "retrain the model")
 
     def test_other_feature_kind_refused(self, tmp_path):
         # a model trained on differently scaled features must not be applied silently

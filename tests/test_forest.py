@@ -422,8 +422,7 @@ class TestFitForest:
         model = fit_forest(X, y, config)
         with pytest.raises(ValidationError, match="2-D"):
             model.predict_matrix(X[0])
-        model.feature_meta = FeatureMeta(np.linspace(4.0, 1.0, X.shape[1]), 4.3, 0.2,
-                                         AcquisitionParams(2500.0, 1024))
+        model.feature_meta = FeatureMeta(AcquisitionParams(2500.0, 24), 4.7)
         model.predict_matrix(X[:3])
         for width in (2, 6):
             with pytest.raises(ValidationError, match="model expects 5"):

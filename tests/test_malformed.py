@@ -9,6 +9,7 @@ truncated.  A file reader that refuses its file must name the file.
 
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -131,6 +132,8 @@ MODEL_EDITS = {
     "config=null": (set_at(["config"], None), None),
     "feature=abc": (tree_edit("feature", lambda a: "abc"), None),
     "grid_ppm=x": (set_at(["feature", "grid_ppm"], "x"), None),
+    "reference_ppm=NaN": (set_at(["feature", "reference_ppm"], math.nan), None),
+    "no-reference_ppm": (drop("feature", "reference_ppm"), None),
     "root-child-is-root": (root_is_its_own_child, "tree nodes"),
     "feature=1e6": (tree_edit("feature", first(10 ** 6)), None),
     "child=1e6": (tree_edit("left", first(10 ** 6)), "tree nodes"),
