@@ -11,16 +11,15 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import fileio
 from .basis import basis_to_dict
-# dataset_from_labeled and simulate_dataset stay importable from here: perfbench/layers.py wraps them on this module.
+# dataset_from_labeled, features_for_dataset and simulate_dataset stay importable from here:
+# perfbench/layers.py wraps them on this module.
 from .dataset import config_fingerprint, dataset_from_labeled
 from .errors import MrsQuantError, ValidationError, integer, known_keys
 from .evaluate import ExperimentSpec, run_experiment
 from .forest import ForestConfig, fit_forest
-from .pipeline import build_feature_space, features_for_dataset, train_model
+from .pipeline import build_feature_space, features_for_dataset, predict_dataset, train_model
 from .signal import DEFAULT_REFERENCE_PPM
 from .simulate import simulate_dataset
 
@@ -94,11 +93,7 @@ def cmd_train(args):
 def cmd_predict(args):
     model = fileio.read_model(args.model)
     dataset = fileio.read_dataset(args.spectra)
-    estimates = np.asarray(
-        model.predict_matrix(
-            features_for_dataset(model.feature_meta, dataset, allow_resample=args.preprocess)
-        )
-    )
+    estimates = predict_dataset(model, dataset, allow_resample=args.preprocess)
     fileio.write_predictions_csv(args.output, model.target_names, estimates,
                                  fileio.model_fingerprint(model))
     print(f"predicted {estimates.shape[0]} spectra -> {args.output}")

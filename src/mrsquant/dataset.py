@@ -34,6 +34,8 @@ class Dataset:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 2 or self.values.shape[1] != self.params.n_points:
             raise ValidationError("values must be (n_spectra, n_points)")
+        if len(set(self.target_names)) != len(self.target_names):
+            raise ValidationError(f"target names must be unique, got {self.target_names}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.float64)
             if self.labels.shape != (self.values.shape[0], len(self.target_names)):

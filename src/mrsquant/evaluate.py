@@ -6,7 +6,7 @@ by order statistics of those errors plus the Pearson correlation between
 estimates and truths ("pearson_r" in reports).
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class ExperimentSpec:
     seed: int = 0
     k_folds: int = 10
     baseline_degree: int = 4
-    preprocess: bool | None = None  # None: on for the cross-protocol designs
+    preprocess: bool | None = None  # None: on for the cross-protocol designs; resolved in __post_init__
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
@@ -91,12 +91,8 @@ class ExperimentSpec:
             object.__setattr__(self, name, integer(name, getattr(self, name), low))
         if self.preprocess not in (None, True, False):
             raise ValidationError(f"preprocess must be true, false or null, got {self.preprocess!r}")
-
-    @property
-    def allow_resample(self):
         if self.preprocess is None:
-            return self.name in _PREPROCESS_BY_DEFAULT
-        return self.preprocess
+            object.__setattr__(self, "preprocess", self.name in _PREPROCESS_BY_DEFAULT)
 
 
 @dataclass
@@ -116,42 +112,38 @@ def run_experiment(spec, datasets, threads=1):
     datasets maps roles to Dataset objects: "train"/"test" for the
     train-test designs, "data" for the k-fold design.  synthetic-synthetic
     scores the forest and the oracle fit against the test labels; the other
-    designs score the forest against the oracle fit, leaving out the
-    spectra the oracle cannot fit.
+    designs relabel the spectra the oracle can fit with its ratios, then
+    train and score on those alone.
     """
     notes = {}
     if spec.name == "real-real-spectra":
         data = datasets["data"]
-        targets = _real_targets(data)
-        truth, ok = _oracle(data, targets, spec, notes, "oracle_failures")
-        usable = np.nonzero(ok)[0]
-        if usable.size < spec.k_folds:
+        fitted = _oracle_labelled(data, _real_targets(data), spec, notes, "oracle_failures")
+        if fitted.n_spectra < spec.k_folds:
             raise ValidationError("not enough usable spectra for the requested fold count")
-        forest_est = np.empty((usable.size, len(targets)))
-        for fold in kfold_split(usable.size, spec.k_folds, spec.seed):
-            train_idx = np.delete(usable, fold)
-            model = train_model(data.take(train_idx), spec.forest, labels=truth[train_idx],
-                                target_names=targets, threads=threads)
-            forest_est[fold] = predict_dataset(model, data.take(usable[fold]),
-                                               allow_resample=spec.allow_resample)
-        return _report(spec, targets, truth[usable], forest_est, None, data, data, notes)
+        forest_est = np.empty(fitted.labels.shape)
+        for fold in kfold_split(fitted.n_spectra, spec.k_folds, spec.seed):
+            model = train_model(fitted.take(np.delete(np.arange(fitted.n_spectra), fold)), spec.forest,
+                                threads=threads)
+            forest_est[fold] = predict_dataset(model, fitted.take(fold), allow_resample=spec.preprocess)
+        return _report(spec, fitted.target_names, fitted.labels, forest_est, None, data, data, notes)
 
     train, test = datasets["train"], datasets["test"]
     if spec.name == "synthetic-synthetic":
         if train.labels is None or test.labels is None:
             raise ValidationError("synthetic experiments need labels in both datasets")
-        targets = list(train.target_names)
-        train_y, truth = _label_columns(train, targets), _label_columns(test, targets)
+        targets = train.target_names
+        truth = _label_columns(test, targets)
         oracle = _oracle(test, targets, spec, notes, "oracle_failures")
+        model = train_model(train, spec.forest, threads=threads)
     else:
         targets = _real_targets(train)
-        train_y, train_ok = _oracle(train, targets, spec, notes, "train_oracle_failures")
-        train, train_y = train.take(np.nonzero(train_ok)[0]), train_y[train_ok]
-        truth, keep = _oracle(test, targets, spec, notes, "test_oracle_failures")
+        model = train_model(_oracle_labelled(train, targets, spec, notes, "train_oracle_failures"),
+                            spec.forest, threads=threads)
         # spectra the oracle refused are not scored, so they are not predicted either
-        test, truth, oracle = test.take(np.flatnonzero(keep)), truth[keep], None
-    model = train_model(train, spec.forest, labels=train_y, target_names=targets, threads=threads)
-    forest_est = predict_dataset(model, test, allow_resample=spec.allow_resample)
+        test = _oracle_labelled(test, targets, spec, notes, "test_oracle_failures")
+        truth, oracle = test.labels, None
+    forest_est = predict_dataset(model, test, allow_resample=spec.preprocess)
     return _report(spec, targets, truth, forest_est, oracle, train, test, notes)
 
 
@@ -161,6 +153,13 @@ def _oracle(dataset, targets, spec, notes, key):
     if not ok.all():
         notes[key] = int((~ok).sum())
     return est, ok
+
+
+def _oracle_labelled(dataset, targets, spec, notes, key):
+    """The spectra of dataset the oracle can fit, labelled with its ratios for targets (see _oracle)."""
+    est, ok = _oracle(dataset, targets, spec, notes, key)
+    keep = np.flatnonzero(ok)
+    return replace(dataset.take(keep), labels=est[keep], target_names=targets)
 
 
 def _report(spec, targets, truth, forest_est, oracle, train, test, notes):
@@ -190,7 +189,7 @@ def _report(spec, targets, truth, forest_est, oracle, train, test, notes):
             "seed": spec.seed,
             "k_folds": spec.k_folds if spec.name == "real-real-spectra" else None,
             "baseline_degree": spec.baseline_degree,
-            "preprocess": spec.allow_resample,
+            "preprocess": spec.preprocess,
         },
         truth_source="simulation_labels" if spec.name == "synthetic-synthetic" else "oracle_fit",
         target_names=list(targets),

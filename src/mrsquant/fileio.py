@@ -416,6 +416,7 @@ def read_dataset(path):
         if not grids_match(data["ppm_axis"], dataset.ppm_axis):  # the axis every reader uses is derived
             raise FileFormatError("stored ppm_axis is not the axis of the acquisition and reference_ppm")
         dataset.basis  # an embedded basis the oracle cannot build is refused here
+        FeatureMeta(params, float(dataset.reference_ppm)).grid  # so is an axis with no bin in the window
         return dataset
 
     return load_json(path, build, "mrsquant-dataset", take_spectrum)

@@ -298,6 +298,8 @@ class RandomForestModel:
     def __post_init__(self):
         if not self.target_names:
             raise ValidationError("target_names must be nonempty")
+        if len(set(self.target_names)) != len(self.target_names):
+            raise ValidationError(f"target names must be unique, got {self.target_names}")
         for trees in self.forests:
             if len(trees) != self.config.n_trees:
                 raise ValidationError("each ensemble must have exactly config.n_trees trees")

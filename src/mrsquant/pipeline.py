@@ -127,15 +127,12 @@ def features_for_dataset(meta, dataset, allow_resample=False):
     return cr_normalize(raw, meta.grid)
 
 
-def train_model(dataset, forest_config, labels=None, target_names=None, threads=1):
-    """Fit per-target forests on a dataset's feature representation."""
-    if labels is None:
-        labels = dataset.labels
-        target_names = dataset.target_names
-    if labels is None:
-        raise ValidationError("dataset has no labels; supply labels= explicitly")
+def train_model(dataset, forest_config, threads=1):
+    """Fit per-target forests on a dataset's feature representation and its labels."""
+    if dataset.labels is None:
+        raise ValidationError("dataset has no labels; cannot train")
     meta, X = build_feature_space(dataset)
-    model = fit_forest(X, labels, forest_config, target_names=target_names, threads=threads)
+    model = fit_forest(X, dataset.labels, forest_config, target_names=dataset.target_names, threads=threads)
     model.feature_meta = meta
     model.dataset_fingerprint = dataset.fingerprint
     return model

@@ -183,6 +183,13 @@ class TestExperiments:
             ExperimentSpec(name="bogus", forest=self.FOREST)
         assert "synthetic-synthetic" in str(err.value)
 
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_preprocess_resolved_once(self, name):
+        cross = name in ("real-real-images", "synthetic-real-images")
+        assert ExperimentSpec(name=name, forest=self.FOREST).preprocess is cross
+        for given in (True, False):
+            assert ExperimentSpec(name=name, forest=self.FOREST, preprocess=given).preprocess is given
+
     def test_memorization_run(self):
         # noiseless, artifact-free, fully grown single tree on its own data
         data = clean_dataset(40, seed=11)

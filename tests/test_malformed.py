@@ -20,7 +20,7 @@ from mrsquant.basis import default_brain_basis
 from mrsquant.cli import main
 from mrsquant.errors import MrsQuantError
 from mrsquant.pipeline import features_for_dataset, oracle_ratios
-from mrsquant.signal import AcquisitionParams
+from mrsquant.signal import AcquisitionParams, ppm_axis
 
 ACQ = {"spectral_width_hz": 2500.0, "n_points": 256, "transmitter_freq_mhz": 127.7,
        "echo_time_ms": 35.0, "repetition_time_ms": 2000.0}
@@ -191,6 +191,27 @@ def test_stored_axis_off_the_acquisition_exits_2_in_every_command(valid, tmp_pat
     exits_2_naming(["evaluate", "--config", cfg, "--output", str(tmp_path / "r.json")], bad, capsys)
 
 
+def axis_far_from_the_window(doc):
+    """A consistent dataset whose axis, centred on 100 ppm, has no bin in the quantification window."""
+    doc["reference_ppm"] = 100.0
+    doc["ppm_axis"] = ppm_axis(fileio.acquisition_from_dict(doc["acquisition"]), 100.0).tolist()
+
+
+def test_axis_outside_the_window_exits_3_naming_the_file_in_every_command(valid, tmp_path, capsys):
+    bad = edited(valid["dataset"], tmp_path / "bad.json", axis_far_from_the_window)
+    cfg = json_file(tmp_path / "exp.json", {**valid["evaluate"],
+                                            "datasets": {"train": bad, "test": str(valid["dataset"])}})
+    for argv in (["train", "--dataset", bad, "--output", str(tmp_path / "m.json"), "--seed", "1"],
+                 ["oob-scan", "--dataset", bad, "--output", str(tmp_path / "oob.csv"), "--seed", "1"],
+                 predict_argv(valid, valid["model"], bad),
+                 predict_argv(valid, valid["model"], bad) + ["--preprocess"],
+                 ["evaluate", "--config", cfg, "--output", str(tmp_path / "r.json")]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "does not overlap the dataset axis" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "exp.json"]
+
+
 @pytest.mark.parametrize("name", MODEL_EDITS)
 def test_malformed_model_exits_2(valid, tmp_path, capsys, name):
     assert tree(json.loads(valid["model"].read_text()))["feature"][0] >= 0
@@ -244,6 +265,10 @@ BUILT_REFUSALS = {
     "simulate snr_rnge": ("simulate", set_at(["snr_rnge"], [1e9, 1e9]),
                           "unknown simulate config key 'snr_rnge'"),
     "evaluate k_fold": ("evaluate", set_at(["k_fold"], 3), "unknown evaluate config key 'k_fold'"),
+    "dataset target_names repeated": ("dataset", set_at(["target_names"], ["NAA/Cr", "NAA/Cr"]),
+                                      "target names must be unique"),
+    "model target_names repeated": ("model", set_at(["target_names"], ["NAA/Cr", "NAA/Cr"]),
+                                    "target names must be unique"),
 }
 
 

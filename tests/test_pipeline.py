@@ -3,7 +3,8 @@ import pytest
 
 from mrsquant.basis import default_brain_basis, linear_combination
 from mrsquant.dataset import Dataset, dataset_from_labeled
-from mrsquant.errors import GridCompatibilityError, UndefinedResultError
+from mrsquant.errors import GridCompatibilityError, UndefinedResultError, ValidationError
+from mrsquant.forest import ForestConfig
 from mrsquant.pipeline import (
     CR_HI_PPM,
     CR_LO_PPM,
@@ -11,6 +12,7 @@ from mrsquant.pipeline import (
     cr_normalize,
     dtft_matrix,
     features_for_dataset,
+    train_model,
 )
 from mrsquant.signal import AcquisitionParams, LorentzianComponent, ppm_axis, spectra_from_fids
 from mrsquant.simulate import SimulationConfig, simulate_dataset
@@ -105,6 +107,13 @@ def example_spectrum(params=TRAIN_PARAMS):
 def example_dataset(params=TRAIN_PARAMS):
     spec = example_spectrum(params)
     return Dataset(params, 4.7, spec.values[None, :], [])
+
+
+class TestTrainModel:
+    def test_unlabelled_dataset_refused(self, train):
+        unlabelled = Dataset(train.params, train.reference_ppm, train.values, train.target_names)
+        with pytest.raises(ValidationError, match="dataset has no labels"):
+            train_model(unlabelled, ForestConfig(n_trees=1, max_features=4, rng_seed=0))
 
 
 class TestCrop:
