@@ -5,6 +5,9 @@ A refusal exits with its error class's exit_code, an OSError with 2.
 workers.ordered_map, where a value below 1 counts as 1: simulate computes its
 chunks of spectra, and train, evaluate and oob-scan grow their trees, in that
 many forked processes; predict runs on one thread.  No output depends on it.
+A dataset is read whole only where it may be regridded onto a model's grid
+(predict --preprocess, and evaluate's test set when the design
+preprocesses); every other read keeps only its window rows.
 """
 
 import argparse
@@ -72,7 +75,7 @@ def _max_depth(text):
 
 
 def cmd_train(args):
-    dataset = fileio.read_dataset(args.dataset)
+    dataset = fileio.read_dataset(args.dataset, window=True)
     if dataset.labels is None:
         raise ValidationError(f"{args.dataset}: dataset has no labels; cannot train")
     config = ForestConfig(n_trees=args.trees, max_features=args.max_features,
@@ -92,7 +95,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = fileio.read_model(args.model)
-    dataset = fileio.read_dataset(args.spectra)
+    dataset = fileio.read_dataset(args.spectra, window=not args.preprocess)
     estimates = predict_dataset(model, dataset, allow_resample=args.preprocess)
     fileio.write_predictions_csv(args.output, model.target_names, estimates,
                                  fileio.model_fingerprint(model))
@@ -122,7 +125,8 @@ def _experiment(doc):
 
 def cmd_evaluate(args):
     spec, paths, fingerprint = fileio.load_json(args.config, _experiment)
-    datasets = {role: fileio.read_dataset(path) for role, path in paths.items()}
+    datasets = {role: fileio.read_dataset(path, window=role != "test" or not spec.preprocess)
+                for role, path in paths.items()}
     report = run_experiment(spec, datasets, threads=args.threads)
     report.inputs["experiment_config_fingerprint"] = fingerprint
     fileio.write_report(args.output, report)
@@ -140,7 +144,7 @@ def cmd_evaluate(args):
 
 
 def cmd_oob_scan(args):
-    dataset = fileio.read_dataset(args.dataset)
+    dataset = fileio.read_dataset(args.dataset, window=True)
     if dataset.labels is None:
         raise ValidationError(f"{args.dataset}: dataset has no labels; cannot scan")
     try:

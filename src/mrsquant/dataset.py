@@ -21,27 +21,44 @@ def config_fingerprint(config_dict):
 
 @dataclass
 class Dataset:
+    """Spectra of one acquisition, held whole or as their window rows, with their labels.
+
+    A dataset holds either values, the whole complex spectra, or
+    window_rows, the real part of each spectrum on the bins of its own axis
+    inside the quantification window (``pipeline.FeatureMeta.mask``): all
+    that the forest's crop path and the oracle read.  Regridding onto
+    another acquisition needs values.
+    """
+
     params: AcquisitionParams
     reference_ppm: float
-    values: np.ndarray  # (n_spectra, n_points) complex
+    values: np.ndarray | None  # (n_spectra, n_points) complex, or None with window_rows
     target_names: list
     labels: np.ndarray | None = None  # (n_spectra, n_targets), finite
     truth_params: list | None = None
     config: dict | None = None
     fingerprint: str | None = None
+    window_rows: np.ndarray | None = None  # (n_spectra, n_window_bins) real, or None with values
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 2 or self.values.shape[1] != self.params.n_points:
-            raise ValidationError("values must be (n_spectra, n_points)")
+        if (self.values is None) == (self.window_rows is None):
+            raise ValidationError("a dataset holds either values or window_rows")
+        if self.values is not None:
+            self.values = np.asarray(self.values, dtype=np.complex128)
+            if self.values.ndim != 2 or self.values.shape[1] != self.params.n_points:
+                raise ValidationError("values must be (n_spectra, n_points)")
+        else:
+            self.window_rows = np.asarray(self.window_rows, dtype=np.float64)
+            if self.window_rows.ndim != 2:
+                raise ValidationError("window_rows must be (n_spectra, n_window_bins)")
         if len(set(self.target_names)) != len(self.target_names):
             raise ValidationError(f"target names must be unique, got {self.target_names}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.float64)
-            if self.labels.shape != (self.values.shape[0], len(self.target_names)):
+            if self.labels.shape != (self.n_spectra, len(self.target_names)):
                 raise ValidationError(
                     f"labels shape {self.labels.shape} must be (n_spectra, n_targets)="
-                    f"({self.values.shape[0]}, {len(self.target_names)})"
+                    f"({self.n_spectra}, {len(self.target_names)})"
                 )
             bad = np.flatnonzero(~np.isfinite(self.labels).all(axis=1))
             if bad.size:
@@ -59,11 +76,12 @@ class Dataset:
 
     @property
     def n_spectra(self):
-        return self.values.shape[0]
+        return (self.values if self.values is not None else self.window_rows).shape[0]
 
     def take(self, idx):
         """The spectra at the integer indices idx, with their labels and truth."""
-        return replace(self, values=self.values[idx],
+        return replace(self, values=self.values[idx] if self.values is not None else None,
+                       window_rows=self.window_rows[idx] if self.window_rows is not None else None,
                        labels=self.labels[idx] if self.labels is not None else None,
                        truth_params=[self.truth_params[i] for i in idx] if self.truth_params else None)
 

@@ -5,7 +5,13 @@ fingerprint) needed to regenerate them byte-for-byte.  Spectra are stored
 as little-endian float64 interleaved real/imag, base64-encoded per record.
 A JSON file is read one top-level member at a time through a window of its
 text, and a dataset's records are decoded as they are read, so reading a
-dataset holds one window of text plus the decoded spectra and their labels.
+dataset holds one window of text plus what the dataset keeps.  A dataset is
+read in one of two modes.  A whole read keeps every complex bin of each
+spectrum and each record's truth parameters; regridding onto another
+acquisition needs it.  A window read keeps only the real part of each
+spectrum on the bins of its own axis inside the quantification window, and
+the labels: all that training, prediction without regridding and the
+least-squares oracle read, about a tenth of the spectra's bytes.
 CSV output follows RFC 4180 (CRLF, header row).
 """
 
@@ -138,9 +144,10 @@ def _item(text, pos, closer):
 
 
 def _scan_json(f, on_record):
-    """json.load of binary file f as UTF-8 text, each element of a top-level "records" array replaced by on_record(it).
+    """json.load of binary file f as UTF-8 text, each element of a top-level "records" array replaced by on_record.
 
-    Each element is passed to on_record as soon as it is parsed, so only one
+    Each element is passed to on_record(element, doc) as soon as it is
+    parsed, doc holding the members read before the array, so only one
     window of text and the values on_record returns are held.  A document that
     is not an object is decoded whole.
     """
@@ -157,7 +164,7 @@ def _scan_json(f, on_record):
             done = window.step(_next_is, "]")
             while not done:
                 item, done = window.step(_item, "]")
-                items.append(on_record(item))
+                items.append(on_record(item, doc))
             doc[key] = items
             last = window.step(_delimiter, "}")
         else:
@@ -173,8 +180,8 @@ def load_json(path, build, expected_format=None, on_record=None):
     """build(doc) for the JSON document at path; the one place a parse error becomes FileFormatError.
 
     doc is what json.load would give, except that with on_record each element
-    of the top-level "records" array is replaced by on_record(element) as
-    soon as it is parsed (see _scan_json).  A parse error names its line and
+    of the top-level "records" array is replaced by on_record(element, doc
+    so far) as soon as it is parsed (see _scan_json).  A parse error names its line and
     column in the file.  With expected_format, the document must be an
     object carrying that format tag and FORMAT_VERSION.  A KeyError raised
     while building becomes FileFormatError naming the missing field; a
@@ -357,24 +364,57 @@ def write_simulation(path, config, threads=1):
     return fingerprint
 
 
-def read_dataset(path):
+def read_dataset(path, window=False):
     """Dataset from a file; a missing or malformed field, unreadable record or NaN/inf value raises FileFormatError.
 
-    Each record's spectrum is decoded onto one buffer as the record is read,
-    so the spectra are held once, and the base64 text of one window at most.
+    A whole read holds every complex bin of each spectrum and each record's
+    truth_params.  With window, the dataset holds window_rows instead: the
+    real part of each spectrum on the bins of its own axis inside the
+    quantification window, and no truth.  Either way every bin is checked,
+    and each record's spectrum is decoded as the record is read, so at most
+    the base64 text of one window is held beside what the dataset keeps.  A
+    window read keeps each record's whole spectrum only while the header
+    that gives its window bins (acquisition and reference_ppm) is not yet
+    read, as in a file written with sorted keys.
     """
-    spectra, sizes = bytearray(), []
+    spectra, sizes = bytearray(), []  # whole spectra, and each record's byte count (None if unreadable)
+    rows, finite = bytearray(), []  # cropped window rows, and whether all bins of each were finite
+    header = mask = None  # the header members the window was sought from, and the window bins they give
 
-    def take_spectrum(record):
-        """record without its spectrum_b64, whose bytes go to spectra and their count (None if unreadable) to sizes."""
+    def window_mask(doc, size):
+        """The window bins of doc's header, sought once, at the first spectrum read after it; None if unusable.
+
+        The header must give spectra of size bytes, so an absurd point count costs no axis.  A header
+        that gives no window is refused by build.
+        """
+        nonlocal header, mask
+        if header is None and "acquisition" in doc and "reference_ppm" in doc:
+            header = (doc["acquisition"], doc["reference_ppm"])
+            with contextlib.suppress(MrsQuantError, KeyError, TypeError, ValueError, AttributeError, OverflowError):
+                meta = FeatureMeta(acquisition_from_dict(doc["acquisition"]), float(doc["reference_ppm"]))
+                if 16 * meta.acquisition.n_points == size:
+                    mask = meta.mask
+        return mask
+
+    def take_spectrum(record, doc):
+        """record without its spectrum_b64, decoded onto spectra, or onto rows once doc gives the window."""
         text = record.pop("spectrum_b64", None) if isinstance(record, dict) else None
         try:
             block = base64.b64decode(text, validate=True)
         except (TypeError, ValueError):  # no text, not ASCII, or not base64 (binascii.Error is a ValueError)
             sizes.append(None)
-        else:
+            return record
+        sizes.append(len(block))
+        bins = None
+        if window:
+            record.pop("truth_params", None)
+            bins = window_mask(doc, len(block))
+        if bins is None or len(block) != 16 * bins.size:
             spectra.extend(block)
-            sizes.append(len(block))
+        else:
+            values = np.frombuffer(block, "<c16")
+            finite.append(bool(np.isfinite(values).all()))
+            rows.extend(values.real[bins].tobytes())
         return record
 
     def build(data):
@@ -390,8 +430,17 @@ def read_dataset(path):
         bad = next((i for i, size in enumerate(sizes[len(sizes) - n:]) if size != block), None)
         if bad is not None:
             raise FileFormatError(f"record {bad} has no readable spectrum_b64 of {params.n_points} points")
-        values = np.frombuffer(spectra, "<c16", offset=len(spectra) - n * block).reshape(n, params.n_points)
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        values = window_rows = None
+        if finite:  # the window was known before the records, so the last list of them went onto rows
+            if header != (data["acquisition"], data["reference_ppm"]):
+                raise FileFormatError("acquisition or reference_ppm is given again after the records")
+            width = np.count_nonzero(mask)
+            window_rows = np.frombuffer(rows, "<f8", offset=len(rows) - 8 * n * width).reshape(n, width)
+            ok = np.array(finite[len(finite) - n:])
+        else:
+            values = np.frombuffer(spectra, "<c16", offset=len(spectra) - n * block).reshape(n, params.n_points)
+            ok = np.isfinite(values).all(axis=1)
+        bad = np.flatnonzero(~ok)
         if bad.size:
             raise FileFormatError(f"record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
                                   f"{bad.size} records do")
@@ -412,11 +461,16 @@ def read_dataset(path):
             truth_params=truth if any(t is not None for t in truth) else None,
             config=data.get("config"),
             fingerprint=data.get("fingerprint"),
+            window_rows=window_rows,
         )
         if not grids_match(data["ppm_axis"], dataset.ppm_axis):  # the axis every reader uses is derived
             raise FileFormatError("stored ppm_axis is not the axis of the acquisition and reference_ppm")
         dataset.basis  # an embedded basis the oracle cannot build is refused here
-        FeatureMeta(params, float(dataset.reference_ppm)).grid  # so is an axis with no bin in the window
+        meta = FeatureMeta(params, float(dataset.reference_ppm))
+        meta.grid  # so is an axis with no bin in the window
+        if window and values is not None:  # read before its window was known
+            return dataclasses.replace(dataset, values=None,
+                                       window_rows=np.ascontiguousarray(values[:, meta.mask].real))
         return dataset
 
     return load_json(path, build, "mrsquant-dataset", take_spectrum)
@@ -528,7 +582,9 @@ def read_model(path):
 # ---------------------------------------------------------------- reports
 
 def write_report(path, report):
-    doc = {"format": "mrsquant-report", "format_version": FORMAT_VERSION, **dataclasses.asdict(report)}
+    # the fields themselves, not dataclasses.asdict, which would deep-copy every per-sample list
+    doc = {"format": "mrsquant-report", "format_version": FORMAT_VERSION,
+           **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)}}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")

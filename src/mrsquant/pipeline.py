@@ -37,10 +37,14 @@ class FeatureMeta:
     reference_ppm: float
 
     @cached_property
+    def mask(self):
+        """The bins of the training axis inside the quantification window."""
+        return _window_mask(ppm_axis(self.acquisition, self.reference_ppm))
+
+    @cached_property
     def grid(self):
         """The model grid: the training axis inside the quantification window."""
-        axis = ppm_axis(self.acquisition, self.reference_ppm)
-        return axis[_window_mask(axis)]
+        return ppm_axis(self.acquisition, self.reference_ppm)[self.mask]
 
 
 def dtft_matrix(params, reference_ppm, target_grid):
@@ -102,6 +106,16 @@ def _window_mask(axis):
     return mask
 
 
+def _window_real(dataset, mask):
+    """The real part of dataset's spectra on mask, its own window bins, from its spectra or the rows it holds."""
+    if dataset.values is not None:
+        return dataset.values[:, mask].real
+    if dataset.window_rows.shape[1] != np.count_nonzero(mask):
+        raise ValidationError(f"window_rows has {dataset.window_rows.shape[1]} columns; "
+                              f"the dataset's window has {np.count_nonzero(mask)} bins")
+    return dataset.window_rows
+
+
 def build_feature_space(dataset):
     """Feature matrix for a training dataset plus the metadata to reuse it."""
     meta = FeatureMeta(dataset.params, float(dataset.reference_ppm))
@@ -112,16 +126,19 @@ def features_for_dataset(meta, dataset, allow_resample=False):
     """Feature matrix for any dataset; other protocols need allow_resample.
 
     Spectra on the model grid are cropped; any other acquisition is
-    evaluated on the model grid through its exact DTFT.
+    evaluated on the model grid through its exact DTFT, which needs the
+    whole spectra, not only the window rows.
     """
     mask = _window_mask(dataset.ppm_axis)
     if grids_match(dataset.ppm_axis[mask], meta.grid):
-        raw = dataset.values[:, mask].real
+        raw = _window_real(dataset, mask)
     elif not allow_resample:
         raise GridCompatibilityError(
             f"dataset grid ({int(mask.sum())} points in the window) does not match the model "
             f"grid ({meta.grid.size} points) and preprocessing is disabled"
         )
+    elif dataset.values is None:
+        raise ValidationError("the dataset holds only its window's real part; regridding needs its whole spectra")
     else:
         raw = (dataset.values @ dtft_matrix(dataset.params, dataset.reference_ppm, meta.grid).T).real
     return cr_normalize(raw, meta.grid)
@@ -162,7 +179,7 @@ def oracle_ratios(dataset, target_names, baseline_degree=4):
     cols = [ratio_cols[t] for t in target_names]
     # the basis is rendered at the dataset's acquisition, so the window's mask indexes its grid too
     mask = _window_mask(dataset.ppm_axis)
-    conc = lsq_fit_batch(dataset.values[:, mask].real, basis, mask, baseline_degree)
+    conc = lsq_fit_batch(_window_real(dataset, mask), basis, mask, baseline_degree)
     cr = conc[:, basis.names.index("Cr")]
     ok = cr > 0
     est = np.full((dataset.n_spectra, len(cols)), np.nan)

@@ -417,6 +417,31 @@ class TestPredict:
                      "--output", str(tmp_path / "pred.csv")])
         assert code == 2
 
+    def test_peak_memory_does_not_grow_by_the_whole_spectra(self, tmp_path):
+        # Without --preprocess, predict reads only the real part of each spectrum's window bins.  Each run
+        # is a fresh interpreter, whose peak is read as VmHWM (see TestSimulate's memory test).
+        script = ("import sys\n"
+                  "from mrsquant.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+                  "print(int(hwm.split()[1]) / 1024)\n")
+        model = tmp_path / "model.json"
+        assert main(["simulate", "--seed", "4", "--n-spectra", "60", "--output", str(tmp_path / "train.json")]) == 0
+        assert main(["train", "--dataset", str(tmp_path / "train.json"), "--output", str(model),
+                     "--seed", "1", "--trees", "2"]) == 0
+        peaks = {}
+        for n in (500, 2000):
+            data = tmp_path / f"{n}.json"
+            assert main(["simulate", "--seed", "3", "--n-spectra", str(n), "--output", str(data)]) == 0
+            proc = subprocess.run([sys.executable, "-c", script, "predict", "--model", str(model),
+                                   "--spectra", str(data), "--output", str(tmp_path / f"{n}.csv")],
+                                  capture_output=True, text=True, check=True)
+            peaks[n] = float(proc.stdout.splitlines()[-1])
+            data.unlink()
+        whole = 1500 * 16 * 1024 / 2 ** 20  # MB of 1500 default-grid spectra held whole
+        print(f"predict: peak MB by count: {peaks}; 1500 whole spectra: {whole:.1f} MB")
+        assert peaks[2000] - peaks[500] < whole / 2, peaks
+
     def test_empty_spectra_file_exits_2(self, tmp_path):
         data = simulate(tmp_path, n=5)
         doc = json.loads(data.read_text())

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -11,13 +12,14 @@ from mrsquant.dataset import Dataset, dataset_from_labeled
 from mrsquant.errors import FileFormatError, UnsupportedVersionError, ValidationError
 from mrsquant.evaluate import ExperimentSpec, run_experiment, summarize_errors
 from mrsquant.forest import ForestConfig
-from mrsquant.pipeline import train_model
+from mrsquant.pipeline import FeatureMeta, features_for_dataset, oracle_ratios, train_model
 from mrsquant.signal import AcquisitionParams, ppm_axis
 from mrsquant.simulate import SimulationConfig, simulate_dataset
 
 PARAMS = AcquisitionParams(spectral_width=2500.0, n_points=256, transmitter_freq=127.7)
 BASIS = default_brain_basis(PARAMS)
 WIDE = AcquisitionParams(spectral_width=2500.0, n_points=1024, transmitter_freq=127.7)
+READ_MODES = (False, True)  # a whole read, then a window read
 
 
 def small_dataset(n=12, seed=5):
@@ -141,8 +143,9 @@ class TestDatasetFile:
         doc = json.loads(path.read_text())
         edit(doc["records"][1])
         path.write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError, match=r"record 1 has no readable spectrum_b64"):
-            fileio.read_dataset(path)
+        for window in READ_MODES:
+            with pytest.raises(FileFormatError, match=r"record 1 has no readable spectrum_b64"):
+                fileio.read_dataset(path, window=window)
 
     def test_regenerate_from_embedded_config(self, tmp_path):
         ds = small_dataset()
@@ -162,9 +165,10 @@ class TestDatasetFile:
         fileio.write_dataset(path, small_dataset())
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(FileFormatError) as err:
-            fileio.read_dataset(path)
-        assert "line" in str(err.value)
+        for window in READ_MODES:
+            with pytest.raises(FileFormatError) as err:
+                fileio.read_dataset(path, window=window)
+            assert "line" in str(err.value)
 
     def test_sim_config_round_trip_with_infinity(self):
         cfg = SimulationConfig(basis=BASIS, n_spectra=3, rng_seed=1,
@@ -181,6 +185,100 @@ class TestDatasetFile:
         assert tuple(d) == fileio.SIM_CONFIG_KEYS
         with pytest.raises(ValidationError, match="unknown simulate config key 'snr_rnge'"):
             fileio.sim_config_from_dict({**d, "snr_rnge": [1e9, 1e9]})
+
+
+class TestWindowRead:
+    """read_dataset(path, window=True) holds the real part of each spectrum on its window bins, and no truth."""
+
+    def test_rows_are_the_whole_reads_window_bit_for_bit(self, tmp_path):
+        cfg = SimulationConfig(basis=default_brain_basis(WIDE), n_spectra=20, rng_seed=9)
+        path = tmp_path / "data.json"
+        fileio.write_simulation(path, cfg)
+        whole, windowed = fileio.read_dataset(path), fileio.read_dataset(path, window=True)
+        _same_window(windowed, whole)
+        assert windowed.n_spectra == 20 and windowed.window_rows.flags.c_contiguous
+        # so the forest's features and the oracle's ratios are the same bits
+        meta = FeatureMeta(whole.params, whole.reference_ppm)
+        assert features_for_dataset(meta, windowed).tobytes() == features_for_dataset(meta, whole).tobytes()
+        for a, b in zip(oracle_ratios(windowed, whole.target_names), oracle_ratios(whole, whole.target_names)):
+            assert a.tobytes() == b.tobytes()
+        picked = windowed.take(np.array([3, 0, 7]))
+        assert picked.window_rows.tobytes() == windowed.window_rows[[3, 0, 7]].tobytes()
+
+    def test_peak_memory_holds_no_whole_spectrum(self, tmp_path):
+        cfg = SimulationConfig(basis=default_brain_basis(WIDE), n_spectra=200, rng_seed=9)
+        path = tmp_path / "data.json"
+        fileio.write_simulation(path, cfg)
+        tracemalloc.start()
+        try:
+            fileio.read_dataset(path, window=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole read peaks above the spectra's 3.3 MB; this one at their window rows plus one window of text
+        assert peak <= 0.4 * 16 * WIDE.n_points * cfg.n_spectra
+
+    def test_nan_anywhere_is_refused_as_in_a_whole_read(self, tmp_path):
+        ds = small_dataset(n=6)
+        mask = FeatureMeta(ds.params, ds.reference_ppm).mask
+        values = ds.values.copy()
+        assert not mask[0]
+        values[2, 0] = np.nan  # a bin outside the window
+        values[4, np.flatnonzero(mask)[10]] += complex(0, np.inf)  # the imaginary part of a window bin
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, Dataset(ds.params, ds.reference_ppm, values, ds.target_names, ds.labels))
+        ordered = tmp_path / "sorted.json"  # its records come before its reference_ppm
+        ordered.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True))
+        for file, window in itertools.product((path, ordered), READ_MODES):
+            with pytest.raises(FileFormatError) as err:
+                fileio.read_dataset(file, window=window)
+            assert str(err.value) == f"{file}: record 2 holds a non-finite spectrum value (NaN or inf); 2 records do"
+
+    def test_repeated_records_key_keeps_its_last_list(self, tmp_path):
+        first, last = small_dataset(n=3, seed=5), small_dataset(n=5, seed=6)
+        source = tmp_path / "last.json"
+        fileio.write_dataset(source, last)
+        text = source.read_text()
+        other = tmp_path / "first.json"
+        fileio.write_dataset(other, first)
+        records = '"records": ' + json.dumps(json.loads(other.read_text())["records"])
+        # the first list before the header, so only the last is read once the window is known; then after it
+        for layout, expected in (("{" + records + ",\n" + text[1:], last),
+                                 (text.rstrip()[:-1] + ",\n" + records + "}\n", first)):
+            path = tmp_path / "repeated.json"
+            path.write_text(layout)
+            whole = fileio.read_dataset(path)
+            assert whole.values.tobytes() == expected.values.tobytes()
+            assert np.array_equal(whole.labels, expected.labels)
+            _same_window(fileio.read_dataset(path, window=True), whole)
+
+    def test_header_given_again_after_the_records_is_refused(self, tmp_path):
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, small_dataset(n=3))
+        moved = ppm_axis(PARAMS, 4.75).tolist()
+        text = path.read_text().rstrip()[:-1] + f', "reference_ppm": 4.75, "ppm_axis": {json.dumps(moved)}}}\n'
+        path.write_text(text)
+        assert fileio.read_dataset(path).reference_ppm == 4.75  # the last member counts, as in json.load
+        # the rows were cut by the first reference_ppm, so they cannot be the last one's
+        with pytest.raises(FileFormatError, match="acquisition or reference_ppm is given again after the records"):
+            fileio.read_dataset(path, window=True)
+
+    def test_window_rows_are_not_regridded(self, tmp_path):
+        path = tmp_path / "data.json"
+        fileio.write_dataset(path, small_dataset(n=3))
+        windowed = fileio.read_dataset(path, window=True)
+        with pytest.raises(ValidationError, match="regridding needs its whole spectra"):
+            features_for_dataset(FeatureMeta(WIDE, windowed.reference_ppm), windowed, allow_resample=True)
+
+    def test_a_dataset_holds_spectra_or_window_rows(self):
+        ds = small_dataset(n=3)
+        rows = ds.values[:, FeatureMeta(ds.params, ds.reference_ppm).mask].real
+        for values, window_rows in ((ds.values, rows), (None, None)):
+            with pytest.raises(ValidationError, match="either values or window_rows"):
+                Dataset(ds.params, ds.reference_ppm, values, ds.target_names, window_rows=window_rows)
+        narrow = Dataset(ds.params, ds.reference_ppm, None, ds.target_names, window_rows=rows[:, 1:])
+        with pytest.raises(ValidationError, match="window_rows has"):
+            oracle_ratios(narrow, ds.target_names)
 
 
 OFF_GRID = "stored grid_ppm is not the window of the acquisition's axis at reference_ppm"
@@ -368,6 +466,17 @@ def _same_dataset(a, b):
     assert a.fingerprint == b.fingerprint
 
 
+def _same_window(a, b):
+    """a, a window read, holds the real part of b's spectra on its window bins, bit for bit, and b's labels."""
+    assert a.values is None and a.truth_params is None
+    mask = FeatureMeta(b.params, b.reference_ppm).mask
+    assert a.window_rows.tobytes() == np.ascontiguousarray(b.values[:, mask].real).tobytes()
+    assert np.array_equal(a.labels, b.labels)
+    assert (a.params, a.reference_ppm, a.target_names) == (b.params, b.reference_ppm, b.target_names)
+    assert a.config == b.config
+    assert a.fingerprint == b.fingerprint
+
+
 def _json_error(text):
     with pytest.raises(json.JSONDecodeError) as err:
         json.loads(text)
@@ -390,6 +499,8 @@ class TestJsonScanner:
             layout = tmp_path / f"{name}.json"
             layout.write_text(text)
             _same_dataset(fileio.read_dataset(layout), ds)
+            # the sorted layout's records come before its reference_ppm, so they are cut at the end
+            _same_window(fileio.read_dataset(layout, window=True), ds)
 
     @pytest.mark.parametrize("window", [1, 5, fileio._WINDOW])
     def test_model_report_and_basis_load_as_json_load(self, tmp_path, monkeypatch, window):
@@ -416,11 +527,11 @@ class TestJsonScanner:
                 text.rindex("}")] + [len(text) * k // 9 for k in range(1, 9)]
         monkeypatch.setattr(fileio, "_WINDOW", window)
         path = tmp_path / "cut.json"
-        for cut in cuts:
+        for cut, window in itertools.product(cuts, READ_MODES):
             path.write_text(text[:cut])
             expected = _json_error(text[:cut])
             with pytest.raises(FileFormatError) as err:
-                fileio.read_dataset(path)
+                fileio.read_dataset(path, window=window)
             assert str(path) in str(err.value)
             assert f"line {expected.lineno} column {expected.colno}: {expected.msg}" in str(err.value)
 
@@ -438,7 +549,8 @@ class TestJsonScanner:
         path.write_text(text)
         expected = _json_error(text)
         monkeypatch.setattr(fileio, "_WINDOW", window)
-        with pytest.raises(FileFormatError) as err:
-            fileio.read_dataset(path)
-        assert f"{path}: malformed JSON at line {expected.lineno} column {expected.colno}: {expected.msg}" \
-            == str(err.value)
+        for mode in READ_MODES:
+            with pytest.raises(FileFormatError) as err:
+                fileio.read_dataset(path, window=mode)
+            assert f"{path}: malformed JSON at line {expected.lineno} column {expected.colno}: {expected.msg}" \
+                == str(err.value)

@@ -11,6 +11,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from mrsquant import fileio
 from mrsquant.basis import default_brain_basis
 from mrsquant.cli import main
 from mrsquant.errors import MrsQuantError
-from mrsquant.pipeline import features_for_dataset, oracle_ratios
+from mrsquant.pipeline import FeatureMeta, features_for_dataset, oracle_ratios
 from mrsquant.signal import AcquisitionParams, ppm_axis
 
 ACQ = {"spectral_width_hz": 2500.0, "n_points": 256, "transmitter_freq_mhz": 127.7,
@@ -173,10 +174,17 @@ def predict_argv(valid, model, spectra):
             "--output", str(valid["dir"] / "pred.csv")]
 
 
+def dataset_reads(valid, spectra):
+    """predict on spectra through a window read, then through a whole read, which --preprocess needs."""
+    argv = predict_argv(valid, valid["model"], spectra)
+    return [argv, argv + ["--preprocess"]]
+
+
 @pytest.mark.parametrize("name", DATASET_EDITS)
 def test_malformed_dataset_exits_2(valid, tmp_path, capsys, name):
     bad = edited(valid["dataset"], tmp_path / "bad.json", DATASET_EDITS[name])
-    exits_2_naming(predict_argv(valid, valid["model"], bad), bad, capsys)
+    for argv in dataset_reads(valid, bad):
+        exits_2_naming(argv, bad, capsys)
 
 
 @pytest.mark.parametrize("edit", [shifted_axis, reversed_axis])
@@ -281,17 +289,18 @@ def test_refusal_while_building_names_the_file(valid, tmp_path, capsys, name):
         doc = copy.deepcopy(valid[kind])
         edit(doc)
         bad = json_file(tmp_path / "bad.json", doc)
-    argv = {
-        "dataset": predict_argv(valid, valid["model"], bad),
-        "model": predict_argv(valid, bad, valid["dataset"]),
-        "evaluate": ["evaluate", "--config", bad, "--output", str(tmp_path / "r.json")],
-        "simulate": ["simulate", "--config", bad, "--seed", "1", "--n-spectra", "2",
-                     "--output", str(tmp_path / "out.json")],
+    argvs = {
+        "dataset": dataset_reads(valid, bad),
+        "model": [predict_argv(valid, bad, valid["dataset"])],
+        "evaluate": [["evaluate", "--config", bad, "--output", str(tmp_path / "r.json")]],
+        "simulate": [["simulate", "--config", bad, "--seed", "1", "--n-spectra", "2",
+                      "--output", str(tmp_path / "out.json")]],
     }[kind]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and err.count(bad) == 1
-    assert message in err
+    for argv in argvs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count(bad) == 1
+        assert message in err
 
 
 def test_basis_refusal_names_the_basis_file_alone(valid, tmp_path, capsys):
@@ -365,11 +374,16 @@ def unless_refused(fn, *args):
 
 def read_or_refused(read, path):
     """read(path), or None when it refuses the file with a MrsQuantError naming it; anything else fails."""
+    return read_or_refusal(read, path)[0]
+
+
+def read_or_refusal(read, path):
+    """(read(path), None), or (None, the error's class and text) when it refuses the file naming it."""
     try:
-        return read(path)
+        return read(path), None
     except MrsQuantError as e:
         assert str(path) in str(e)
-        return None
+        return None, (type(e), str(e))
 
 
 @FUZZ
@@ -377,8 +391,14 @@ def read_or_refused(read, path):
 def test_fuzzed_dataset_is_read_or_refused(valid, tmp_path_factory, data):
     path = fresh(tmp_path_factory, "dataset.json")
     path.write_text(mutate(data, json.loads(valid["dataset"].read_text())))
-    dataset = read_or_refused(fileio.read_dataset, path)
+    dataset, refusal = read_or_refusal(fileio.read_dataset, path)
+    # a window read refuses what a whole read refuses, alike, and otherwise holds its window's real part
+    windowed, window_refusal = read_or_refusal(lambda p: fileio.read_dataset(p, window=True), path)
+    assert window_refusal == refusal
     if dataset is not None:
+        mask = FeatureMeta(dataset.params, float(dataset.reference_ppm)).mask
+        assert windowed.window_rows.tobytes() == np.ascontiguousarray(dataset.values[:, mask].real).tobytes()
+        assert np.array_equal(windowed.labels, dataset.labels)
         # a dataset that loads can be quantified by a model and by the oracle
         meta = fileio.read_model(valid["model"]).feature_meta
         unless_refused(features_for_dataset, meta, dataset, True)
