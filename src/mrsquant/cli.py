@@ -3,8 +3,9 @@
 A refusal exits with its error class's exit_code, an OSError with 2.
 --threads (default 1) goes straight to the library as the worker count of
 workers.ordered_map, where a value below 1 counts as 1: simulate computes its
-chunks of spectra, and train, evaluate and oob-scan grow their trees, in that
-many forked processes; predict runs on one thread.  No output depends on it.
+chunks of spectra, evaluate reads its datasets, and train, evaluate and
+oob-scan grow their trees, in that many forked processes; predict runs on one
+thread.  No output depends on it.
 A dataset is read whole only where it may be regridded onto a model's grid
 (predict --preprocess, and evaluate's test set when the design
 preprocesses); every other read keeps only its window rows.
@@ -25,6 +26,7 @@ from .forest import ForestConfig, fit_forest
 from .pipeline import build_feature_space, features_for_dataset, predict_dataset, train_model
 from .signal import DEFAULT_REFERENCE_PPM
 from .simulate import simulate_dataset
+from .workers import ordered_map
 
 _TREE_WORKERS_HELP = "forked worker processes growing the trees; the output does not depend on it"
 
@@ -125,8 +127,11 @@ def _experiment(doc):
 
 def cmd_evaluate(args):
     spec, paths, fingerprint = fileio.load_json(args.config, _experiment)
-    datasets = {role: fileio.read_dataset(path, window=role != "test" or not spec.preprocess)
-                for role, path in paths.items()}
+    # at 2 or more workers the train and test sets are read at once, each Dataset coming back
+    # pickled; results and errors arrive in role order, so a failed train read is the one named
+    datasets = dict(zip(paths, ordered_map(
+        lambda role: fileio.read_dataset(paths[role], window=role != "test" or not spec.preprocess),
+        paths, args.threads)))
     report = run_experiment(spec, datasets, threads=args.threads)
     report.inputs["experiment_config_fingerprint"] = fingerprint
     fileio.write_report(args.output, report)
@@ -218,7 +223,9 @@ def build_parser():
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--output", required=True, help="report JSON path")
     p.add_argument("--csv", help="per-sample CSV path (default: <output>.samples.csv)")
-    p.add_argument("--threads", type=int, default=1, help=_TREE_WORKERS_HELP)
+    p.add_argument("--threads", type=int, default=1,
+                   help="forked worker processes reading the datasets and growing the trees; "
+                        "the output does not depend on it")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("oob-scan", help="sweep n_trees x max_features, emit the OOB grid CSV")

@@ -5,14 +5,15 @@ run, so threads would not overlap; they run in forked processes instead.
 """
 
 import multiprocessing
+import pickle
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 _task = None  # the running map's task, which its forked workers inherit; None between maps
 
 
-def _run(job):
-    return _task(job)
+def _run(blob):
+    return _task(pickle.loads(blob))
 
 
 def ordered_map(task, jobs, workers):
@@ -21,9 +22,12 @@ def ordered_map(task, jobs, workers):
     With min(workers, len(jobs)) <= 1 the jobs run here, one after another,
     so a worker count below 1 counts as 1.  Otherwise they run in that many
     forked processes, which inherit task (closures included) from this one,
-    so only jobs and results are pickled.  At most two jobs per worker are in
-    flight, so the caller holds a few results whatever the job count.  The
-    pool is shut down, its queued jobs cancelled, however the iteration ends.
+    so only jobs and results are pickled.  Each job is pickled here, before it
+    is submitted, so a job that cannot be pickled raises to the caller: the
+    pool's own feeder thread would leave the pool unable to shut down.  At
+    most two jobs per worker are in flight, so the caller holds a few results
+    whatever the job count.  The pool is shut down, its queued jobs
+    cancelled, however the iteration ends.
     """
     global _task
     jobs = list(jobs)
@@ -36,7 +40,7 @@ def ordered_map(task, jobs, workers):
     try:
         in_flight = deque()
         for job in jobs:
-            in_flight.append(pool.submit(_run, job))
+            in_flight.append(pool.submit(_run, pickle.dumps(job)))
             if len(in_flight) == 2 * workers:
                 yield in_flight.popleft().result()
         while in_flight:

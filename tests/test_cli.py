@@ -555,6 +555,50 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith(f"error: {cfg}: unknown forest key 'bootstrap'")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("design", ["synthetic-synthetic", "real-real-images"])
+    def test_thread_count_does_not_change_the_outputs(self, tmp_path, design):
+        # at 2 or more workers the datasets are read in forked workers; real-real-images
+        # takes its truth from the oracle and, preprocessing, reads its test set whole
+        cfg = self._config(tmp_path, experiment=design)
+        if design == "real-real-images":
+            mrsi = dict(ACQ_SMALL, spectral_width_hz=2000.0, n_points=200)
+            test = simulate(tmp_path, "mrsi.json", n=10, seed=7, config_fields={"acquisition": mrsi})
+            self._rewrite(cfg, preprocess=True,
+                          datasets=dict(json.loads(cfg.read_text())["datasets"], test=str(test)))
+        outputs = {}
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"r{threads}.json"
+            assert main(["evaluate", "--config", str(cfg), "--output", str(out), "--threads", threads]) == 0
+            outputs[threads] = [out.read_bytes(), (tmp_path / f"r{threads}.json.samples.csv").read_bytes()]
+            assert multiprocessing.active_children() == []
+        assert outputs["2"] == outputs["1"] and outputs["3"] == outputs["1"]
+        assert fileio.read_report(tmp_path / "r1.json").truth_source == (
+            "simulation_labels" if design == "synthetic-synthetic" else "oracle_fit")
+
+    def test_a_failed_read_at_two_workers_is_named_in_role_order(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        good = json.loads(cfg.read_text())["datasets"]
+        bad = {role: tmp_path / f"bad-{role}.json" for role in good}
+        for path in bad.values():
+            path.write_text("{}")
+
+        def evaluate(threads, **datasets):
+            self._rewrite(cfg, datasets=dict(good, **{role: str(path) for role, path in datasets.items()}))
+            code = main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json"),
+                         "--threads", threads])
+            assert multiprocessing.active_children() == []
+            return code, capsys.readouterr().err
+
+        code, err = evaluate("2", **bad)
+        assert code == 2 and str(bad["train"]) in err and str(bad["test"]) not in err
+        code, err = evaluate("2", test=bad["test"])
+        assert code == 2 and str(bad["test"]) in err
+        for role in ("train", "test"):
+            missing = {role: tmp_path / "missing.json"}
+            serial = evaluate("1", **missing)
+            assert serial[0] == 2 and evaluate("2", **missing) == serial
+        assert not (tmp_path / "r.json").exists()
+
     def test_spectrum_the_oracle_refused_is_not_predicted(self, tmp_path):
         # the negated row has no positive Cr peak, so the forest's features could not be built for it
         train = tmp_path / "default-grid.json"

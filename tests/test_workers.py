@@ -1,5 +1,9 @@
 import contextlib
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -56,3 +60,31 @@ def test_task_error_reaches_the_caller_and_ends_the_pool():
         list(ordered_map(refuse, range(10), 2))
     assert multiprocessing.active_children() == []
     assert workers._task is None
+
+
+_UNPICKLABLE = """
+import multiprocessing
+from mrsquant.workers import ordered_map
+print(list(ordered_map(lambda f: f(), [lambda: 1, lambda: 2], 1)))
+for n_workers in (2, 3):
+    try:
+        list(ordered_map(lambda f: f(), [lambda: 1, lambda: 2], n_workers))
+    except Exception as e:
+        print(n_workers, str(e)[:len("Can't pickle")])
+    print(multiprocessing.active_children())
+"""
+
+
+def test_a_job_that_cannot_be_pickled_raises_to_the_caller():
+    # in its own session, so that a hang fails the test and its forked workers can be killed
+    proc = subprocess.Popen([sys.executable, "-c", _UNPICKLABLE], stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("ordered_map hung on a job that cannot be pickled")
+    assert proc.returncode == 0, out
+    # at 1 worker the jobs run here and are never pickled
+    assert out.splitlines() == ["[1, 2]", "2 Can't pickle", "[]", "3 Can't pickle", "[]"]
