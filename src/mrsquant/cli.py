@@ -3,9 +3,9 @@
 A refusal exits with its error class's exit_code, an OSError with 2.
 --threads (default 1) goes straight to the library as the worker count of
 workers.ordered_map, where a value below 1 counts as 1: simulate computes its
-chunks of spectra, evaluate reads its datasets, and train, evaluate and
-oob-scan grow their trees, in that many forked processes; predict runs on one
-thread.  No output depends on it.
+chunks of spectra, evaluate reads its datasets when none is read whole, and
+train, evaluate and oob-scan grow their trees, in that many forked processes;
+predict runs on one thread.  No output depends on it.
 A dataset is read whole only where it may be regridded onto a model's grid
 (predict --preprocess, and evaluate's test set when the design
 preprocesses); every other read keeps only its window rows.
@@ -127,11 +127,13 @@ def _experiment(doc):
 
 def cmd_evaluate(args):
     spec, paths, fingerprint = fileio.load_json(args.config, _experiment)
-    # at 2 or more workers the train and test sets are read at once, each Dataset coming back
-    # pickled; results and errors arrive in role order, so a failed train read is the one named
+    window = {role: role != "test" or not spec.preprocess for role in paths}
+    # window reads run at once at 2 or more workers, each Dataset coming back pickled; a whole
+    # read would pickle back its spectra and raise the peak, so then every set is read here.
+    # Results and errors arrive in role order, so a failed train read is the one named.
     datasets = dict(zip(paths, ordered_map(
-        lambda role: fileio.read_dataset(paths[role], window=role != "test" or not spec.preprocess),
-        paths, args.threads)))
+        lambda role: fileio.read_dataset(paths[role], window=window[role]),
+        paths, args.threads if all(window.values()) else 1)))
     report = run_experiment(spec, datasets, threads=args.threads)
     report.inputs["experiment_config_fingerprint"] = fingerprint
     fileio.write_report(args.output, report)
@@ -224,8 +226,8 @@ def build_parser():
     p.add_argument("--output", required=True, help="report JSON path")
     p.add_argument("--csv", help="per-sample CSV path (default: <output>.samples.csv)")
     p.add_argument("--threads", type=int, default=1,
-                   help="forked worker processes reading the datasets and growing the trees; "
-                        "the output does not depend on it")
+                   help="forked worker processes reading the datasets (when none is read whole) "
+                        "and growing the trees; the output does not depend on it")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("oob-scan", help="sweep n_trees x max_features, emit the OOB grid CSV")

@@ -275,24 +275,11 @@ def _grow_by_level(X, ranks, y, rows, weights, config, rng):
 
 
 def _canonical_order(X, Y):
-    """np.lexsort's stable row order by feature column 0, then the remaining columns, then targets.
-
-    One stable sort on column 0 places every row whose value there is unique;
-    only the rows in runs of tied values are ordered by the full keys.
-    """
-    order = np.argsort(X[:, 0], kind="stable")
-    first = X[order, 0]
-    same = first[1:] == first[:-1]
-    tied = np.zeros(order.size, dtype=bool)
-    tied[1:] = same
-    tied[:-1] |= same
-    if tied.any():
-        rows = order[tied]
-        # lexsort treats its last key as primary, hence the reversal
-        keys = tuple(Y[rows, t] for t in range(Y.shape[1] - 1, -1, -1))
-        keys = keys + tuple(X[rows, j] for j in range(X.shape[1] - 1, -1, -1))
-        order[tied] = rows[np.lexsort(keys)]
-    return order
+    # Primary key is feature column 0, then the remaining columns, then targets;
+    # lexsort treats its last key as primary, hence the reversal.
+    keys = tuple(Y[:, t] for t in range(Y.shape[1] - 1, -1, -1))
+    keys = keys + tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1))
+    return np.lexsort(keys)
 
 
 @dataclass

@@ -575,6 +575,17 @@ class TestEvaluate:
         assert fileio.read_report(tmp_path / "r1.json").truth_source == (
             "simulation_labels" if design == "synthetic-synthetic" else "oracle_fit")
 
+    @pytest.mark.parametrize("preprocess", [False, True])
+    def test_sets_are_read_in_workers_only_when_none_is_read_whole(self, tmp_path, monkeypatch, preprocess):
+        # preprocessing reads the test set whole, and pickling those spectra back from a worker
+        # would raise the peak, so at 2 workers both sets are then read in this process
+        cfg = self._config(tmp_path, preprocess=preprocess)
+        read, here = fileio.read_dataset, []
+        monkeypatch.setattr(fileio, "read_dataset", lambda path, **kw: here.append(path) or read(path, **kw))
+        assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json"),
+                     "--threads", "2"]) == 0
+        assert len(here) == (2 if preprocess else 0)
+
     def test_a_failed_read_at_two_workers_is_named_in_role_order(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         good = json.loads(cfg.read_text())["datasets"]

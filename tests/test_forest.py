@@ -309,20 +309,6 @@ class TestFitForest:
             assert ta.equals(tb)
         assert np.array_equal(model_a.oob_curves[0], model_b.oob_curves[0])
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_canonical_order_is_lexsort_over_every_key(self, seed):
-        # few distinct values per column, signed zeros and repeated rows: the runs
-        # tied on column 0 must be ordered by the later columns, targets, then row
-        rng = np.random.default_rng(seed)
-        n, d = rng.integers(2, 80), rng.integers(1, 6)
-        X = rng.integers(-1, rng.integers(1, 4), size=(n, d)).astype(np.float64)
-        X[X == 0] *= rng.choice([-1.0, 1.0], size=np.count_nonzero(X == 0))
-        Y = rng.integers(0, 2, size=(n, rng.integers(1, 3))).astype(np.float64)
-        repeat = rng.integers(0, n, size=n // 3)
-        X[repeat], Y[repeat] = X[0], Y[0]
-        keys = [Y[:, t] for t in range(Y.shape[1] - 1, -1, -1)] + [X[:, j] for j in range(d - 1, -1, -1)]
-        assert np.array_equal(forest._canonical_order(X, Y), np.lexsort(keys))
-
     def test_monotone_feature_transform_invariance(self):
         # thresholds are midpoints of node sample values, so routing is purely
         # ordinal for points whose values appear in the node; identity
