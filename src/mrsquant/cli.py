@@ -76,10 +76,15 @@ def _max_depth(text):
     return int(text)
 
 
-def cmd_train(args):
-    dataset = fileio.read_dataset(args.dataset, window=True)
+def _labelled_window(path, verb):
+    dataset = fileio.read_dataset(path, window=True)
     if dataset.labels is None:
-        raise ValidationError(f"{args.dataset}: dataset has no labels; cannot train")
+        raise ValidationError(f"{path}: dataset has no labels; cannot {verb}")
+    return dataset
+
+
+def cmd_train(args):
+    dataset = _labelled_window(args.dataset, "train")
     config = ForestConfig(n_trees=args.trees, max_features=args.max_features,
                           min_leaf_size=args.min_leaf, max_depth=args.max_depth, rng_seed=args.seed)
     model = train_model(dataset, config, threads=args.threads)
@@ -151,9 +156,7 @@ def cmd_evaluate(args):
 
 
 def cmd_oob_scan(args):
-    dataset = fileio.read_dataset(args.dataset, window=True)
-    if dataset.labels is None:
-        raise ValidationError(f"{args.dataset}: dataset has no labels; cannot scan")
+    dataset = _labelled_window(args.dataset, "scan")
     try:
         features = [int(v) for v in args.features.split(",") if v.strip()]
     except ValueError as e:

@@ -59,14 +59,15 @@ def kfold_split(n, k, seed):
 def summarize_errors(estimates, truths):
     """Stats block for a report: relative-error order statistics (interpolated quartiles) plus pearson_r."""
     errors = relative_errors(estimates, truths)
-    pearson_r = r_score(estimates, truths)
+    pearson_r = r_score(estimates, truths)  # first: fewer than 2 entries raise ValidationError, not IndexError
+    q1, median, q3 = np.quantile(errors, [0.25, 0.5, 0.75])
     return {
-        "median_error": float(np.quantile(errors, 0.5)),
+        "median_error": float(median),
         "min_error": float(np.min(errors)),
         "max_error": float(np.max(errors)),
         "mean_error": float(np.mean(errors)),
-        "q1_error": float(np.quantile(errors, 0.25)),
-        "q3_error": float(np.quantile(errors, 0.75)),
+        "q1_error": float(q1),
+        "q3_error": float(q3),
         "pearson_r": pearson_r,
     }
 
@@ -163,26 +164,20 @@ def _oracle_labelled(dataset, targets, spec, notes, key):
 
 
 def _report(spec, targets, truth, forest_est, oracle, train, test, notes):
-    """EvalReport scoring forest_est, and the oracle's (estimates, ok) when given, against truth."""
-    summary = {}
-    per_sample = {}
+    """EvalReport scoring forest_est on every row, and the oracle's (estimates, ok) on its ok rows when given."""
+    scored = {"forest": (forest_est, np.ones(len(truth), dtype=bool)), "oracle": oracle}
+    summary = {name: {} for name in targets}
+    per_sample = {name: {"truth": truth[:, t].tolist()} for t, name in enumerate(targets)}
     for t, name in enumerate(targets):
-        summary[name] = {"forest": summarize_errors(forest_est[:, t], truth[:, t]), "oracle": None}
-        per_sample[name] = {
-            "truth": truth[:, t].tolist(),
-            "forest_estimate": forest_est[:, t].tolist(),
-            "forest_error": relative_errors(forest_est[:, t], truth[:, t]).tolist(),
-            "oracle_estimate": None,
-            "oracle_error": None,
-        }
-        if oracle is not None:
-            est, ok = oracle
-            if ok.any():
-                summary[name]["oracle"] = summarize_errors(est[ok, t], truth[ok, t])
-            err = np.full(truth.shape[0], np.nan)
-            err[ok] = relative_errors(est[ok, t], truth[ok, t])
-            per_sample[name]["oracle_estimate"] = est[:, t].tolist()
-            per_sample[name]["oracle_error"] = err.tolist()
+        for estimator, pair in scored.items():
+            stats = estimates = errors = None
+            if pair is not None:
+                est, ok = pair[0][:, t], pair[1]
+                stats = summarize_errors(est[ok], truth[ok, t]) if ok.any() else None
+                estimates = est.tolist()
+                errors = np.where(ok, relative_errors(est, truth[:, t]), np.nan).tolist()
+            summary[name][estimator] = stats
+            per_sample[name] |= {f"{estimator}_estimate": estimates, f"{estimator}_error": errors}
     return EvalReport(
         experiment={
             "name": spec.name,

@@ -347,6 +347,8 @@ def _write_dataset_file(path, fingerprint, params, reference_ppm, target_names, 
 
 
 def write_dataset(path, dataset):
+    if dataset.values is None:
+        raise ValidationError("the dataset holds only its window rows; writing needs its whole spectra")
     _write_dataset_file(path, dataset.fingerprint, dataset.params, dataset.reference_ppm, dataset.target_names,
                         dataset.config, [(dataset.values, dataset.labels, dataset.truth_params)])
 

@@ -222,16 +222,19 @@ class TestTrain:
             rows = list(csv.DictReader(f))
         assert rows and all(float(r["oob_error"]) == 0.0 for r in rows)
 
-    def test_unlabeled_dataset_exits_2(self, tmp_path):
+    def test_unlabeled_dataset_exits_2(self, tmp_path, capsys):
+        # train and oob-scan share the refusal, which names the file before any tree is grown
         data = simulate(tmp_path, n=8)
         doc = json.loads(data.read_text())
         for rec in doc["records"]:
             rec["labels"] = None
         stripped = tmp_path / "unlabeled.json"
         stripped.write_text(json.dumps(doc))
-        code = main(["train", "--dataset", str(stripped), "--output", str(tmp_path / "m.json"),
-                     "--seed", "1"])
-        assert code == 2
+        for verb, action in (("train", "train"), ("oob-scan", "scan")):
+            code = main([verb, "--dataset", str(stripped), "--output", str(tmp_path / "out"), "--seed", "1"])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {stripped}: dataset has no labels; cannot {action}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestUnreadableDataset:

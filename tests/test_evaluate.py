@@ -320,13 +320,18 @@ def small_dataset(params, n, seed, fit_fails=()):
 
 
 # case -> (preprocess, {role: small_dataset arguments}, the notes the report
-# must hold). The design is the case name without "-cross".
+# must hold). The design is the case name without "-cross" or "-unfit". In
+# "-unfit" the oracle fits no test spectrum; the training set is flipped as
+# well, so that the forest does not predict a constant.
 DIGEST_CASES = {
     "synthetic-synthetic": (None, {"train": (SMALL, 60, 1, ()), "test": (SMALL, 20, 2, (3, 7))},
                             {"oracle_failures": 2}),
     "synthetic-synthetic-cross": (True, {"train": (SMALL, 60, 1, ()),
                                          "test": (SMALL_MRSI, 20, 3, (3, 7))},
                                   {"oracle_failures": 2}),
+    "synthetic-synthetic-unfit": (None, {"train": (SMALL, 60, 1, range(60)),
+                                         "test": (SMALL, 20, 2, range(20))},
+                                  {"oracle_failures": 20}),
     "real-real-spectra": (None, {"data": (SMALL, 60, 4, (5, 11, 17))}, {"oracle_failures": 3}),
     "real-real-images": (None, {"train": (SMALL, 60, 5, (0, 1, 2)),
                                 "test": (SMALL_MRSI, 20, 6, (3, 7))},
@@ -342,6 +347,8 @@ REPORT_DIGESTS = {
                            "4f5125b7de91030b90b2cc566aef1bf80bee5d93c89a97ad7340c0af9914fed7"),
     "synthetic-synthetic-cross": ("f71723cb390ca49880283a122999ad9981039047867c34a9212daf82301dd824",
                                  "4024f823b6a1fa3b0e7c974455b4142ab6ff64331a14faf0c1cd85231d082a7c"),
+    "synthetic-synthetic-unfit": ("0c0507bc29342c54ff8da3f5913a669735c326550afdf2742e0221064d164d54",
+                                 "fbbaf494689c14e91009a9edece3e693179dc8ee792d55957482875415c1714f"),
     "real-real-spectra": ("dae0e0fc97ee606223cbd1eaa3fa5fa9061bceb0c3cdf02e45540dfb78ac81a1",
                          "9537ee30cb8c4e996ac8e5152f8fccb088ac4588b575b823fdb553da4014ecc2"),
     "real-real-images": ("47092bce371f3581cfc1fbb16820b9b14045cc0d485bca56ef22bd6bd3c10d9b",
@@ -354,11 +361,16 @@ REPORT_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
 def test_reports_match_recorded_digests(case, tmp_path):
     preprocess, roles, notes = DIGEST_CASES[case]
-    spec = ExperimentSpec(name=case.removesuffix("-cross"), seed=2, k_folds=3, preprocess=preprocess,
+    spec = ExperimentSpec(name=case.removesuffix("-cross").removesuffix("-unfit"), seed=2, k_folds=3, preprocess=preprocess,
                           forest=ForestConfig(n_trees=4, max_features=16, min_leaf_size=2, rng_seed=9))
     datasets = {role: small_dataset(*args) for role, args in roles.items()}
     report = run_experiment(spec, datasets)
     assert report.notes == notes
+    if case.endswith("-unfit"):
+        for target in report.target_names:
+            assert report.summary[target]["oracle"] is None
+            assert np.isnan(report.per_sample[target]["oracle_estimate"]).all()
+            assert np.isnan(report.per_sample[target]["oracle_error"]).all()
     fileio.write_report(tmp_path / "report.json", report)
     fileio.write_samples_csv(tmp_path / "samples.csv", report)
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

@@ -270,6 +270,13 @@ class TestWindowRead:
         with pytest.raises(ValidationError, match="regridding needs its whole spectra"):
             features_for_dataset(FeatureMeta(WIDE, windowed.reference_ppm), windowed, allow_resample=True)
 
+    def test_window_rows_are_not_written(self, tmp_path):
+        path, out = tmp_path / "data.json", tmp_path / "out.json"
+        fileio.write_dataset(path, small_dataset(n=3))
+        with pytest.raises(ValidationError, match="writing needs its whole spectra"):
+            fileio.write_dataset(out, fileio.read_dataset(path, window=True))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json"]  # neither out nor its .tmp file
+
     def test_a_dataset_holds_spectra_or_window_rows(self):
         ds = small_dataset(n=3)
         rows = ds.values[:, FeatureMeta(ds.params, ds.reference_ppm).mask].real
