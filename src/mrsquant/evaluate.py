@@ -136,14 +136,15 @@ def run_experiment(spec, datasets, threads=1):
         targets = train.target_names
         truth = _label_columns(test, targets)
         oracle = _oracle(test, targets, spec, notes, "oracle_failures")
-        model = train_model(train, spec.forest, threads=threads)
     else:
         targets = _real_targets(train)
-        model = train_model(_oracle_labelled(train, targets, spec, notes, "train_oracle_failures"),
-                            spec.forest, threads=threads)
+        train = _oracle_labelled(train, targets, spec, notes, "train_oracle_failures")
         # spectra the oracle refused are not scored, so they are not predicted either
         test = _oracle_labelled(test, targets, spec, notes, "test_oracle_failures")
         truth, oracle = test.labels, None
+    if len(truth) < 2:
+        raise ValidationError(f"need at least 2 test spectra to score, got {len(truth)}")
+    model = train_model(train, spec.forest, threads=threads)
     forest_est = predict_dataset(model, test, allow_resample=spec.preprocess)
     return _report(spec, targets, truth, forest_est, oracle, train, test, notes)
 
@@ -164,7 +165,8 @@ def _oracle_labelled(dataset, targets, spec, notes, key):
 
 
 def _report(spec, targets, truth, forest_est, oracle, train, test, notes):
-    """EvalReport scoring forest_est on every row, and the oracle's (estimates, ok) on its ok rows when given."""
+    """EvalReport scoring forest_est on every row, and the oracle's (estimates, ok) on its ok rows when given;
+    an estimator with fewer than 2 scored rows gets a None stats block and keeps its per-sample fields."""
     scored = {"forest": (forest_est, np.ones(len(truth), dtype=bool)), "oracle": oracle}
     summary = {name: {} for name in targets}
     per_sample = {name: {"truth": truth[:, t].tolist()} for t, name in enumerate(targets)}
@@ -173,7 +175,7 @@ def _report(spec, targets, truth, forest_est, oracle, train, test, notes):
             stats = estimates = errors = None
             if pair is not None:
                 est, ok = pair[0][:, t], pair[1]
-                stats = summarize_errors(est[ok], truth[ok, t]) if ok.any() else None
+                stats = summarize_errors(est[ok], truth[ok, t]) if ok.sum() >= 2 else None
                 estimates = est.tolist()
                 errors = np.where(ok, relative_errors(est, truth[:, t]), np.nan).tolist()
             summary[name][estimator] = stats

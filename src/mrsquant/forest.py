@@ -10,6 +10,7 @@ how the trees are spread over worker processes.
 """
 
 import contextlib
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -120,16 +121,16 @@ def _check_training_inputs(X, Y, config):
     _check_finite("training targets", Y)
 
 
-def _rank_table(X):
-    """(d, n) uint32 dense ranks of the columns of X; equal values share a rank.
+def _rank_table(X, order):
+    """(d, n) uint32 dense ranks of the columns of X[order]; equal values share a rank.
 
     CART depends only on the order of feature values, so trees grow on the
     ranks and map each split back to the values of its node's samples.  One
     column at a time keeps the temporaries small.
     """
-    ranks = np.empty((X.shape[1], X.shape[0]), dtype=np.uint32)
+    ranks = np.empty((X.shape[1], order.size), dtype=np.uint32)
     for j in range(X.shape[1]):
-        ranks[j] = np.unique(X[:, j], return_inverse=True)[1]
+        ranks[j] = np.unique(X[order, j], return_inverse=True)[1]
     return ranks
 
 
@@ -151,10 +152,11 @@ def fit_tree(X, y, sample_indices, config, rng):
     if idx0.min() < 0 or idx0.max() >= y.size:
         raise ValidationError(f"sample_indices must lie in [0, {y.size})")
     _check_training_inputs(X, y, config)
-    return _grow_by_level(X, _rank_table(X), y, *np.unique(idx0, return_counts=True), config, rng)
+    order = np.arange(y.size)
+    return _grow_by_level(X, order, _rank_table(X, order), y, *np.unique(idx0, return_counts=True), config, rng)
 
 
-def _grow_by_level(X, ranks, y, rows, weights, config, rng):
+def _grow_by_level(X, order, ranks, y, rows, weights, config, rng):
     """Grow one CART tree breadth first, splitting every open node of a depth level at once.
 
     rows holds the distinct bootstrap rows grouped by node, in node-id order,
@@ -167,7 +169,8 @@ def _grow_by_level(X, ranks, y, rows, weights, config, rng):
     S_L, an integer one n_L, and each cut scores S_L^2/(n_L*n_R).  A node
     takes its first maximum (lowest drawn-feature row, then lowest rank) and
     its threshold is the midpoint of its own two adjacent values.  Node ids
-    are breadth first, so children follow their parent.
+    are breadth first, so children follow their parent.  Row indices point
+    into X[order], the order of ranks and y; only the split midpoints read X.
     """
     d, n = ranks.shape
     flat_ranks = ranks.ravel()
@@ -244,8 +247,8 @@ def _grow_by_level(X, ranks, y, rows, weights, config, rng):
         f = feats[np.arange(ids.size), row]
         entry_a = key[row, pos]
         rank_a = (entry_a >> _KEY_BITS) & _KEY_MASK
-        a = X[rows[entry_a & _KEY_MASK], f]
-        b = X[rows[key[row, pos + 1] & _KEY_MASK], f]
+        a = X[order[rows[entry_a & _KEY_MASK]], f]
+        b = X[order[rows[key[row, pos + 1] & _KEY_MASK]], f]
         thr = a + (b - a) / 2.0
         # float midpoint may round up; keep a <= thr < b so routing matches the fit
         thr = np.where(thr >= b, a, thr)
@@ -365,8 +368,8 @@ def oob_curve(oob_preds, y):
     return np.array(curve)
 
 
-def _fit_one_tree(Xc, ranks, yc, config, target_index, tree_index):
-    """One tree and its predictions at the rows its bootstrap left out (NaN elsewhere)."""
+def _fit_one_tree(X, canon, ranks, yc, config, target_index, tree_index):
+    """One tree and its predictions at the rows its bootstrap left out (NaN elsewhere), in X[canon]'s order."""
     n = yc.size
     rng = np.random.default_rng([config.rng_seed, target_index, tree_index])
     if config.bootstrap == "identity":
@@ -375,10 +378,10 @@ def _fit_one_tree(Xc, ranks, yc, config, target_index, tree_index):
         drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
     # the distinct rows come out in row order, so the gathers walk memory forward
     rows = np.flatnonzero(drawn)
-    tree = _grow_by_level(Xc, ranks, yc, rows, drawn[rows], config, rng)
+    tree = _grow_by_level(X, canon, ranks, yc, rows, drawn[rows], config, rng)
     oob_pred = np.full(n, np.nan)
     out = drawn == 0
-    oob_pred[out] = tree.predict_batch(Xc[out])
+    oob_pred[out] = tree.predict_batch(X[canon[out]])
     return tree, oob_pred
 
 
@@ -386,10 +389,11 @@ def fit_forest(X, Y, config, target_names=None, threads=1):
     """Train one forest per target column of Y; deterministic for a fixed config.
 
     The (target, tree) jobs run through workers.ordered_map over threads
-    forked workers, which inherit the canonical training arrays instead of
-    receiving a pickled copy.  Each job sends back its tree and the tree's
-    predictions at the rows its bootstrap left out (NaN at the rest), which
-    oob_curve then averages.
+    forked workers, which inherit X and its canonical row order instead of
+    receiving a pickled copy; the first job in each process builds the rank
+    table there, so the caller holds one only when the jobs run in it.  Each
+    job sends back its tree and the tree's predictions at the rows its
+    bootstrap left out (NaN at the rest), which oob_curve then averages.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -406,13 +410,12 @@ def fit_forest(X, Y, config, target_names=None, threads=1):
         raise ValidationError("target_names length must match Y columns")
 
     canon = _canonical_order(X, Y)
-    Xc = np.ascontiguousarray(X[canon])
     Yc = np.ascontiguousarray(Y[canon].T)
-    ranks = _rank_table(Xc)
+    ranks = functools.cache(lambda: _rank_table(X, canon))
 
     jobs = [(t, i) for t in range(Y.shape[1]) for i in range(config.n_trees)]
     # _assemble takes each target's trees with islice, which leaves the map open; closing it ends the pool
-    with contextlib.closing(ordered_map(lambda job: _fit_one_tree(Xc, ranks, Yc[job[0]], config, *job),
+    with contextlib.closing(ordered_map(lambda job: _fit_one_tree(X, canon, ranks(), Yc[job[0]], config, *job),
                                         jobs, threads)) as results:
         return _assemble(results, Yc, config, target_names)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mrsquant import fileio
+from mrsquant import evaluate, fileio
 from mrsquant.basis import default_brain_basis
 from mrsquant.dataset import Dataset, dataset_from_labeled
 from mrsquant.errors import GridCompatibilityError, UndefinedResultError, ValidationError
@@ -297,6 +297,19 @@ class TestExperiments:
         with pytest.raises(GridCompatibilityError):
             run_experiment(spec, {"train": train, "test": test})
 
+    @pytest.mark.parametrize("name", ["synthetic-synthetic", "real-real-images"])
+    def test_fewer_than_two_scored_spectra_refused_before_training(self, name, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a forest was trained")
+
+        monkeypatch.setattr(evaluate, "train_model", no_training)
+        # one test spectrum, or twenty of which the oracle fits one
+        test = (small_dataset(SMALL, 1, 2) if name == "synthetic-synthetic"
+                else small_dataset(SMALL_MRSI, 20, 6, range(1, 20)))
+        spec = ExperimentSpec(name=name, forest=self.FOREST)
+        with pytest.raises(ValidationError, match="need at least 2 test spectra to score, got 1"):
+            run_experiment(spec, {"train": small_dataset(SMALL, 30, 1), "test": test})
+
 
 SMALL = AcquisitionParams(spectral_width=2500.0, n_points=256, transmitter_freq=127.7)
 SMALL_MRSI = AcquisitionParams(spectral_width=2000.0, n_points=200, transmitter_freq=127.7)
@@ -320,9 +333,10 @@ def small_dataset(params, n, seed, fit_fails=()):
 
 
 # case -> (preprocess, {role: small_dataset arguments}, the notes the report
-# must hold). The design is the case name without "-cross" or "-unfit". In
-# "-unfit" the oracle fits no test spectrum; the training set is flipped as
-# well, so that the forest does not predict a constant.
+# must hold). The design is the case name without "-cross", "-unfit" or
+# "-onefit". In "-unfit" the oracle fits no test spectrum, and in "-onefit"
+# one; the training set is flipped as well, so that the forest does not
+# predict a constant.
 DIGEST_CASES = {
     "synthetic-synthetic": (None, {"train": (SMALL, 60, 1, ()), "test": (SMALL, 20, 2, (3, 7))},
                             {"oracle_failures": 2}),
@@ -332,6 +346,9 @@ DIGEST_CASES = {
     "synthetic-synthetic-unfit": (None, {"train": (SMALL, 60, 1, range(60)),
                                          "test": (SMALL, 20, 2, range(20))},
                                   {"oracle_failures": 20}),
+    "synthetic-synthetic-onefit": (None, {"train": (SMALL, 60, 1, range(60)),
+                                          "test": (SMALL, 20, 2, range(1, 20))},
+                                   {"oracle_failures": 19}),
     "real-real-spectra": (None, {"data": (SMALL, 60, 4, (5, 11, 17))}, {"oracle_failures": 3}),
     "real-real-images": (None, {"train": (SMALL, 60, 5, (0, 1, 2)),
                                 "test": (SMALL_MRSI, 20, 6, (3, 7))},
@@ -349,6 +366,8 @@ REPORT_DIGESTS = {
                                  "4024f823b6a1fa3b0e7c974455b4142ab6ff64331a14faf0c1cd85231d082a7c"),
     "synthetic-synthetic-unfit": ("0c0507bc29342c54ff8da3f5913a669735c326550afdf2742e0221064d164d54",
                                  "fbbaf494689c14e91009a9edece3e693179dc8ee792d55957482875415c1714f"),
+    "synthetic-synthetic-onefit": ("2cde7d67472868adbfd6c1ba73f301ede9ce3259b4d1da2079faf149fa0a7ec1",
+                                   "4fe9115102e56486a7cc8d3c614612b6499584af8d5968e8222cffd2a4962e4a"),
     "real-real-spectra": ("dae0e0fc97ee606223cbd1eaa3fa5fa9061bceb0c3cdf02e45540dfb78ac81a1",
                          "9537ee30cb8c4e996ac8e5152f8fccb088ac4588b575b823fdb553da4014ecc2"),
     "real-real-images": ("47092bce371f3581cfc1fbb16820b9b14045cc0d485bca56ef22bd6bd3c10d9b",
@@ -361,7 +380,8 @@ REPORT_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
 def test_reports_match_recorded_digests(case, tmp_path):
     preprocess, roles, notes = DIGEST_CASES[case]
-    spec = ExperimentSpec(name=case.removesuffix("-cross").removesuffix("-unfit"), seed=2, k_folds=3, preprocess=preprocess,
+    design = case.removesuffix("-cross").removesuffix("-unfit").removesuffix("-onefit")
+    spec = ExperimentSpec(name=design, seed=2, k_folds=3, preprocess=preprocess,
                           forest=ForestConfig(n_trees=4, max_features=16, min_leaf_size=2, rng_seed=9))
     datasets = {role: small_dataset(*args) for role, args in roles.items()}
     report = run_experiment(spec, datasets)
@@ -371,6 +391,13 @@ def test_reports_match_recorded_digests(case, tmp_path):
             assert report.summary[target]["oracle"] is None
             assert np.isnan(report.per_sample[target]["oracle_estimate"]).all()
             assert np.isnan(report.per_sample[target]["oracle_error"]).all()
+    if case.endswith("-onefit"):
+        # one fitted spectrum is too few to summarize, but its estimate and error are kept
+        for target in report.target_names:
+            assert report.summary[target]["oracle"] is None
+            assert report.summary[target]["forest"] is not None
+            assert np.flatnonzero(np.isfinite(report.per_sample[target]["oracle_error"])).tolist() == [0]
+            assert np.isfinite(report.per_sample[target]["oracle_estimate"][0])
     fileio.write_report(tmp_path / "report.json", report)
     fileio.write_samples_csv(tmp_path / "samples.csv", report)
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

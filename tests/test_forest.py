@@ -1,5 +1,6 @@
 import hashlib
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,8 +259,8 @@ class TestFitForest:
         assert multiprocessing.active_children() == []
 
     def test_tree_job_error_reaches_caller(self, monkeypatch):
-        def refuse(Xc, ranks, yc, config, target_index, tree_index):
-            raise ValidationError(f"tree {tree_index} refused")
+        def refuse(*args):
+            raise ValidationError(f"tree {args[-1]} refused")
 
         # forked workers inherit the patched module attribute
         monkeypatch.setattr(forest, "_fit_one_tree", refuse)
@@ -269,6 +270,19 @@ class TestFitForest:
         assert type(caught.value) is ValidationError
         assert str(caught.value) == "tree 0 refused"
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads, bound", [(1, 1.25), (2, 0.5)])
+    def test_training_holds_one_copy_of_the_features(self, threads, bound):
+        # no canonical copy of X; the (d, n) uint32 rank table is half of X, and
+        # only a process that grows trees builds it, so at 2 workers the caller never does
+        X, y = self._data(n=3000, d=300)
+        tracemalloc.start()
+        try:
+            fit_forest(X, y, ForestConfig(n_trees=4, max_features=4, rng_seed=1), threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * X.nbytes
 
     def test_constant_target(self):
         X, _ = self._data()
