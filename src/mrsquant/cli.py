@@ -103,7 +103,10 @@ def cmd_train(args):
 def cmd_predict(args):
     model = fileio.read_model(args.model)
     dataset = fileio.read_dataset(args.spectra, window=not args.preprocess)
-    estimates = predict_dataset(model, dataset, allow_resample=args.preprocess)
+    try:
+        estimates = predict_dataset(model, dataset, allow_resample=args.preprocess)
+    except MrsQuantError as e:  # a grid or Cr refusal of the spectra names their file, as a read refusal does
+        raise type(e)(f"{args.spectra}: {e}") from e
     fileio.write_predictions_csv(args.output, model.target_names, estimates,
                                  fileio.model_fingerprint(model))
     print(f"predicted {estimates.shape[0]} spectra -> {args.output}")

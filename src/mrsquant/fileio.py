@@ -4,14 +4,15 @@ All JSON artifacts embed a format version plus the configuration (and its
 fingerprint) needed to regenerate them byte-for-byte.  Spectra are stored
 as little-endian float64 interleaved real/imag, base64-encoded per record.
 A JSON file is read one top-level member at a time through a window of its
-text, and a dataset's records are decoded as they are read, so reading a
-dataset holds one window of text plus what the dataset keeps.  A dataset is
-read in one of two modes.  A whole read keeps every complex bin of each
-spectrum and each record's truth parameters; regridding onto another
-acquisition needs it.  A window read keeps only the real part of each
-spectrum on the bins of its own axis inside the quantification window, and
-the labels: all that training, prediction without regridding and the
-least-squares oracle read, about a tenth of the spectra's bytes.
+text, and each of a dataset's records is decoded, checked and kept as it is
+read, so reading a dataset holds one window of text plus what the dataset
+keeps.  The two read modes differ only in what is kept.  A whole read keeps
+every complex bin of each spectrum and each record's truth parameters;
+regridding onto another acquisition needs it.  A window read keeps only the
+real part of each spectrum on the bins of its own axis inside the
+quantification window, and the labels: all that training, prediction
+without regridding and the least-squares oracle read, about a tenth of the
+spectra's bytes.
 CSV output follows RFC 4180 (CRLF, header row).
 """
 
@@ -372,51 +373,42 @@ def read_dataset(path, window=False):
     A whole read holds every complex bin of each spectrum and each record's
     truth_params.  With window, the dataset holds window_rows instead: the
     real part of each spectrum on the bins of its own axis inside the
-    quantification window, and no truth.  Either way every bin is checked,
-    and each record's spectrum is decoded as the record is read, so at most
-    the base64 text of one window is held beside what the dataset keeps.  A
-    window read keeps each record's whole spectrum only while the header
-    that gives its window bins (acquisition and reference_ppm) is not yet
-    read, as in a file written with sorted keys.
+    quantification window, and no truth.  Every record takes one step as it
+    is read: its spectrum is decoded, every bin is checked, and what is kept
+    goes onto one buffer, so at most the base64 text of one window is held
+    beside what the dataset keeps.  A window read cuts each spectrum to the
+    window once the header that gives its window bins (acquisition and
+    reference_ppm) is read; a record read before it, as in a file written
+    with sorted keys, is kept whole and cut at the end.
     """
-    spectra, sizes = bytearray(), []  # whole spectra, and each record's byte count (None if unreadable)
-    rows, finite = bytearray(), []  # cropped window rows, and whether all bins of each were finite
+    kept, sizes, finite = bytearray(), [], []  # kept bytes; each record's point count (None if unreadable), finiteness
     header = mask = None  # the header members the window was sought from, and the window bins they give
 
-    def window_mask(doc, size):
-        """The window bins of doc's header, sought once, at the first spectrum read after it; None if unusable.
-
-        The header must give spectra of size bytes, so an absurd point count costs no axis.  A header
-        that gives no window is refused by build.
-        """
-        nonlocal header, mask
-        if header is None and "acquisition" in doc and "reference_ppm" in doc:
-            header = (doc["acquisition"], doc["reference_ppm"])
-            with contextlib.suppress(MrsQuantError, KeyError, TypeError, ValueError, AttributeError, OverflowError):
-                meta = FeatureMeta(acquisition_from_dict(doc["acquisition"]), float(doc["reference_ppm"]))
-                if 16 * meta.acquisition.n_points == size:
-                    mask = meta.mask
-        return mask
-
     def take_spectrum(record, doc):
-        """record without its spectrum_b64, decoded onto spectra, or onto rows once doc gives the window."""
+        """record without its spectrum_b64, decoded, checked and kept: whole, or cut once doc gives the window."""
+        nonlocal header, mask
         text = record.pop("spectrum_b64", None) if isinstance(record, dict) else None
         try:
-            block = base64.b64decode(text, validate=True)
-        except (TypeError, ValueError):  # no text, not ASCII, or not base64 (binascii.Error is a ValueError)
+            values = np.frombuffer(base64.b64decode(text, validate=True), "<c16")
+        except (TypeError, ValueError):  # no text, not ASCII, not base64 or not whole bins
             sizes.append(None)
             return record
-        sizes.append(len(block))
-        bins = None
+        sizes.append(values.size)
+        finite.append(bool(np.isfinite(values).all()))
         if window:
             record.pop("truth_params", None)
-            bins = window_mask(doc, len(block))
-        if bins is None or len(block) != 16 * bins.size:
-            spectra.extend(block)
-        else:
-            values = np.frombuffer(block, "<c16")
-            finite.append(bool(np.isfinite(values).all()))
-            rows.extend(values.real[bins].tobytes())
+            if header is None and "acquisition" in doc and "reference_ppm" in doc:
+                # sought once, at the first spectrum after the header, which must give spectra of this size,
+                # so an absurd point count costs no axis; a header that gives no window is refused by build
+                header = (doc["acquisition"], doc["reference_ppm"])
+                with contextlib.suppress(MrsQuantError, KeyError, TypeError, ValueError, AttributeError,
+                                         OverflowError):
+                    meta = FeatureMeta(acquisition_from_dict(doc["acquisition"]), float(doc["reference_ppm"]))
+                    if meta.acquisition.n_points == values.size:
+                        mask = meta.mask
+            if mask is not None and values.size == mask.size:
+                values = values.real[mask]
+        kept.extend(values.data)
         return record
 
     def build(data):
@@ -425,27 +417,23 @@ def read_dataset(path, window=False):
         target_names = list(data["target_names"])
         if not isinstance(records, list):
             raise FileFormatError("records is not a list")
-        n, block = len(records), 16 * params.n_points
+        n = len(records)
         if n == 0:
             raise ValidationError("dataset holds no spectra")
         # a repeated "records" key keeps its last list, as in json.load, whose spectra were read last
-        bad = next((i for i, size in enumerate(sizes[len(sizes) - n:]) if size != block), None)
+        bad = next((i for i, size in enumerate(sizes[len(sizes) - n:]) if size != params.n_points), None)
         if bad is not None:
             raise FileFormatError(f"record {bad} has no readable spectrum_b64 of {params.n_points} points")
-        values = window_rows = None
-        if finite:  # the window was known before the records, so the last list of them went onto rows
-            if header != (data["acquisition"], data["reference_ppm"]):
-                raise FileFormatError("acquisition or reference_ppm is given again after the records")
-            width = np.count_nonzero(mask)
-            window_rows = np.frombuffer(rows, "<f8", offset=len(rows) - 8 * n * width).reshape(n, width)
-            ok = np.array(finite[len(finite) - n:])
-        else:
-            values = np.frombuffer(spectra, "<c16", offset=len(spectra) - n * block).reshape(n, params.n_points)
-            ok = np.isfinite(values).all(axis=1)
-        bad = np.flatnonzero(~ok)
+        if mask is not None and header != (data["acquisition"], data["reference_ppm"]):
+            raise FileFormatError("acquisition or reference_ppm is given again after the records")
+        bad = np.flatnonzero(~np.array(finite[len(finite) - n:]))
         if bad.size:
             raise FileFormatError(f"record {bad[0]} holds a non-finite spectrum value (NaN or inf); "
                                   f"{bad.size} records do")
+        # the last list went onto kept whole, or cut to the window when it was known before them
+        dtype, width = ("<c16", params.n_points) if mask is None else ("<f8", np.count_nonzero(mask))
+        rows = np.frombuffer(kept, dtype, offset=len(kept) - n * width * np.dtype(dtype).itemsize).reshape(n, width)
+        values, window_rows = (rows, None) if mask is None else (None, rows)
         labelled = [r.get("labels") is not None for r in records]
         if len(set(labelled)) > 1:
             raise FileFormatError(f"record {labelled.index(not labelled[0])} and record 0 "

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mrsquant.dataset import Dataset
 from mrsquant.errors import ValidationError
 from mrsquant.forest import ForestConfig
 from mrsquant.pipeline import train_model
+from mrsquant.simulate import SimulationConfig
 
 ACQ_SMALL = {"spectral_width_hz": 2500.0, "n_points": 256, "transmitter_freq_mhz": 127.7,
              "echo_time_ms": 35.0, "repetition_time_ms": 2000.0}
@@ -165,6 +167,25 @@ class TestSimulate:
         assert f"{basis}: amplitude must be" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_basis_file_gives_the_file_write_simulation_gives(self, tmp_path):
+        basis = tmp_path / "basis.json"
+        fileio.write_basis(basis, default_brain_basis(fileio.acquisition_from_dict(ACQ_SMALL)))
+        out, expected = tmp_path / "out.json", tmp_path / "expected.json"
+        assert main(["simulate", "--basis", str(basis), "--seed", "4", "--n-spectra", "20",
+                     "--output", str(out)]) == 0
+        fileio.write_simulation(expected, SimulationConfig(basis=fileio.read_basis(basis), n_spectra=20,
+                                                           rng_seed=4))
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("use_config", [False, True])
+    def test_no_spectrum_count_exits_2(self, tmp_path, capsys, use_config):
+        argv = ["simulate", "--seed", "1", "--output", str(tmp_path / "x.json")]
+        if use_config:
+            argv += ["--config", write_config(tmp_path / "cfg.json")]
+        assert main(argv) == 2
+        assert "simulate needs --n-spectra (field n_spectra)" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_missing_seed_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n-spectra", "3", "--output", str(tmp_path / "x.json")])
@@ -181,6 +202,14 @@ class TestTrain:
         model = fileio.read_model(model_path)
         assert model.config.n_trees == 3
         assert (tmp_path / "model.json.oob.csv").exists()
+
+    @pytest.mark.parametrize("value,depth", [("none", None), ("unlimited", None), ("3", 3)])
+    def test_max_depth_values_accepted(self, tmp_path, value, depth):
+        data = simulate(tmp_path, n=12)
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--dataset", str(data), "--output", str(model_path), "--seed", "7",
+                     "--trees", "1", "--max-features", "8", "--max-depth", value]) == 0
+        assert fileio.read_model(model_path).config.max_depth == depth
 
     def test_null_embedded_basis_means_the_built_in_one(self, tmp_path):
         data = simulate(tmp_path, n=12)
@@ -356,6 +385,9 @@ class TestPredict:
         code = main(["predict", "--model", str(model_path), "--spectra", str(mrsi),
                      "--output", str(out)])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mrsi}: dataset grid (")
+        assert "preprocessing is disabled" in err
         code = main(["predict", "--model", str(model_path), "--spectra", str(mrsi),
                      "--output", str(out), "--preprocess"])
         assert code == 0
@@ -376,7 +408,9 @@ class TestPredict:
         code = main(["predict", "--model", str(model_path), "--spectra", str(bad),
                      "--output", str(out)])
         assert code == 4
-        assert "Cr" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Cr" in err
         assert not out.exists()
 
     def test_nan_feature_bin_exits_2(self, tmp_path, capsys):
@@ -517,6 +551,26 @@ class TestEvaluate:
                       datasets={"data": data, "train": str(tmp_path / "missing.json")})
         assert main(["evaluate", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
         assert fileio.read_report(tmp_path / "r.json").experiment["name"] == "real-real-spectra"
+
+    @pytest.mark.parametrize("design,extra", [("real-real-images", {}),
+                                              ("real-real-spectra", {"k_folds": 2})])
+    def test_unlabelled_sets_are_scored_on_every_basis_ratio(self, tmp_path, capsys, design, extra):
+        # the in-vivo case: with no target names and no labels, the oracle labels every basis ratio to Cr
+        cfg = self._config(tmp_path, experiment=design, **extra)
+        datasets = json.loads(cfg.read_text())["datasets"]
+        for path in datasets.values():
+            doc = json.loads(Path(path).read_text())
+            doc["target_names"] = []
+            for rec in doc["records"]:
+                rec["labels"] = None
+            Path(path).write_text(json.dumps(doc))
+        self._rewrite(cfg, datasets=dict(datasets, data=datasets["train"]))
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--config", str(cfg), "--output", str(out)]) == 0
+        report = fileio.read_report(out)
+        assert report.target_names == ["NAA/Cr", "Cho/Cr", "mI/Cr", "Glx/Cr"]
+        assert report.truth_source == "oracle_fit"
+        assert f"experiment {design} (truth: oracle_fit)" in capsys.readouterr().out
 
     def _report_fields(self, cfg_path, doc):
         """The report evaluate writes for doc, less the config fingerprint."""
@@ -666,6 +720,18 @@ class TestOobScan:
         with open(out, newline="") as f:
             rows = list(csv.DictReader(f))
         assert {r["max_features"] for r in rows} == {"1", "4", "16", "64", "128"}
+
+    @pytest.mark.parametrize("features,message", [
+        ("x,4", "--features must be a comma-separated integer list"),
+        (",", "--features must name at least one value"),
+    ])
+    def test_malformed_feature_list_exits_2(self, tmp_path, capsys, features, message):
+        data = simulate(tmp_path, n=12)
+        out = tmp_path / "oob.csv"
+        assert main(["oob-scan", "--dataset", str(data), "--seed", "2", "--trees", "2",
+                     "--features", features, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_oversize_feature_value_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):
         from mrsquant import cli
