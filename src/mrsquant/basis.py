@@ -22,7 +22,7 @@ DEFAULT_COMPONENT_T2 = 0.1
 # Chemical shifts (ppm) and relative amplitudes for the built-in brain basis.
 # Amplitudes within each metabolite sum to 1 so unit concentration carries
 # the same integrated area for every metabolite.  These are configuration
-# constants, replaceable by any user-supplied basis file.
+# constants, replaceable by the basis field of a simulate config.
 _BRAIN_BASIS_LINES = {
     "NAA": [(2.01, 1.0)],
     "Cr": [(3.03, 0.6), (3.91, 0.4)],
@@ -80,7 +80,7 @@ class BasisSet:
 
 
 def basis_to_dict(basis):
-    """The metabolite lines of a basis as the JSON mapping basis files and configs embed."""
+    """The metabolite lines of a basis as the JSON mapping a simulate config holds in its basis field."""
     return {
         "metabolites": [
             {

@@ -16,7 +16,6 @@ import os
 import sys
 
 from . import fileio
-from .basis import basis_to_dict
 # dataset_from_labeled, features_for_dataset and simulate_dataset stay importable from here:
 # perfbench/layers.py wraps them on this module.
 from .dataset import config_fingerprint, dataset_from_labeled
@@ -35,8 +34,11 @@ DEFAULT_ACQUISITION = {"spectral_width_hz": 2500.0, "n_points": 1024,
                        "repetition_time_ms": 2000.0}
 
 
-def _sim_config(args, basis, file_cfg):
-    """SimulationConfig from the --config document (or {}), the flags, the --basis basis and the defaults."""
+def _sim_config(args, file_cfg):
+    """SimulationConfig from the --config document (or {}), the flags and the defaults.
+
+    A custom basis is the document's "basis" field, at its "acquisition" and "reference_ppm".
+    """
     cfg = {"acquisition": dict(DEFAULT_ACQUISITION), "reference_ppm": DEFAULT_REFERENCE_PPM}
     cfg.update(file_cfg)
     cfg["rng_seed"] = args.seed
@@ -44,20 +46,14 @@ def _sim_config(args, basis, file_cfg):
         cfg["n_spectra"] = args.n_spectra
     if "n_spectra" not in cfg:
         raise ValidationError("simulate needs --n-spectra (field n_spectra)")
-    if basis is not None:
-        cfg["acquisition"] = fileio.acquisition_to_dict(basis.params)
-        cfg["reference_ppm"] = basis.reference_ppm
-        cfg["basis"] = basis_to_dict(basis)
     return fileio.sim_config_from_dict(cfg)
 
 
 def cmd_simulate(args):
-    # the basis file is read first, so a refusal of it is not also blamed on the config file
-    basis = fileio.read_basis(args.basis) if args.basis else None
     if args.config:
-        config = fileio.load_json(args.config, lambda doc: _sim_config(args, basis, doc))
+        config = fileio.load_json(args.config, lambda doc: _sim_config(args, doc))
     else:
-        config = _sim_config(args, basis, {})
+        config = _sim_config(args, {})
     fingerprint = fileio.write_simulation(args.output, config, args.threads)
     print(f"wrote {config.n_spectra} spectra to {args.output}")
     print(f"seed={config.rng_seed} fingerprint={fingerprint}")
@@ -76,6 +72,14 @@ def _max_depth(text):
     return int(text)
 
 
+def _naming(path, compute, *args, **kwargs):
+    """compute(*args, **kwargs); a refusal it raises, such as a grid or Cr refusal, names path as a read's does."""
+    try:
+        return compute(*args, **kwargs)
+    except MrsQuantError as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
 def _labelled_window(path, verb):
     dataset = fileio.read_dataset(path, window=True)
     if dataset.labels is None:
@@ -87,7 +91,7 @@ def cmd_train(args):
     dataset = _labelled_window(args.dataset, "train")
     config = ForestConfig(n_trees=args.trees, max_features=args.max_features,
                           min_leaf_size=args.min_leaf, max_depth=args.max_depth, rng_seed=args.seed)
-    model = train_model(dataset, config, threads=args.threads)
+    model = _naming(args.dataset, train_model, dataset, config, threads=args.threads)
     fileio.write_model(args.output, model)
     oob_path = args.oob_csv or args.output + ".oob.csv"
     entries = [(name, config.max_features, curve)
@@ -103,10 +107,7 @@ def cmd_train(args):
 def cmd_predict(args):
     model = fileio.read_model(args.model)
     dataset = fileio.read_dataset(args.spectra, window=not args.preprocess)
-    try:
-        estimates = predict_dataset(model, dataset, allow_resample=args.preprocess)
-    except MrsQuantError as e:  # a grid or Cr refusal of the spectra names their file, as a read refusal does
-        raise type(e)(f"{args.spectra}: {e}") from e
+    estimates = _naming(args.spectra, predict_dataset, model, dataset, allow_resample=args.preprocess)
     fileio.write_predictions_csv(args.output, model.target_names, estimates,
                                  fileio.model_fingerprint(model))
     print(f"predicted {estimates.shape[0]} spectra -> {args.output}")
@@ -168,7 +169,7 @@ def cmd_oob_scan(args):
         raise ValidationError("--features must name at least one value")
     configs = [ForestConfig(n_trees=args.trees, max_features=mf, min_leaf_size=args.min_leaf,
                             max_depth=None, rng_seed=args.seed) for mf in features]
-    _, X = build_feature_space(dataset)
+    _, X = _naming(args.dataset, build_feature_space, dataset)
     if max(features) > X.shape[1]:
         raise ValidationError(f"--features value {max(features)} exceeds the {X.shape[1]} "
                               f"features of {args.dataset}")
@@ -199,7 +200,6 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
     p.add_argument("--output", required=True)
     p.add_argument("--n-spectra", type=int, dest="n_spectra")
-    p.add_argument("--basis", help="basis-set JSON file overriding the built-in basis")
     p.add_argument("--threads", type=int, default=1,
                    help="forked worker processes over fixed chunks of spectra; the output does not depend on it")
     p.set_defaults(func=cmd_simulate)

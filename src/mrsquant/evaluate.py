@@ -11,7 +11,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import UndefinedResultError, ValidationError, integer
-from .pipeline import oracle_ratios, predict_dataset, train_model
+from .forest import fit_forest
+from .pipeline import build_feature_space, oracle_ratios, predict_dataset, train_model
 
 EXPERIMENT_NAMES = (
     "synthetic-synthetic",
@@ -122,11 +123,12 @@ def run_experiment(spec, datasets, threads=1):
         fitted = _oracle_labelled(data, _real_targets(data), spec, notes, "oracle_failures")
         if fitted.n_spectra < spec.k_folds:
             raise ValidationError("not enough usable spectra for the requested fold count")
+        _, X = build_feature_space(fitted)
         forest_est = np.empty(fitted.labels.shape)
         for fold in kfold_split(fitted.n_spectra, spec.k_folds, spec.seed):
-            model = train_model(fitted.take(np.delete(np.arange(fitted.n_spectra), fold)), spec.forest,
-                                threads=threads)
-            forest_est[fold] = predict_dataset(model, fitted.take(fold), allow_resample=spec.preprocess)
+            rest = np.delete(np.arange(fitted.n_spectra), fold)
+            model = fit_forest(X[rest], fitted.labels[rest], spec.forest, fitted.target_names, threads)
+            forest_est[fold] = model.predict_matrix(X[fold])
         return _report(spec, fitted.target_names, fitted.labels, forest_est, None, data, data, notes)
 
     train, test = datasets["train"], datasets["test"]

@@ -1,4 +1,4 @@
-"""Persistent file formats: basis sets, datasets, models, reports, plot CSVs.
+"""Persistent file formats: datasets, models, reports, plot CSVs, simulate configs.
 
 All JSON artifacts embed a format version plus the configuration (and its
 fingerprint) needed to regenerate them byte-for-byte.  Spectra are stored
@@ -13,6 +13,8 @@ real part of each spectrum on the bins of its own axis inside the
 quantification window, and the labels: all that training, prediction
 without regridding and the least-squares oracle read, about a tenth of the
 spectra's bytes.
+A custom basis is given in a simulate config alone (its basis field, at its
+acquisition and reference_ppm), which each dataset embeds and the oracle reads.
 CSV output follows RFC 4180 (CRLF, header row).
 """
 
@@ -27,7 +29,7 @@ import os
 
 import numpy as np
 
-from .basis import basis_from_config, basis_from_dict, basis_to_dict
+from .basis import basis_from_config, basis_to_dict
 from .dataset import Dataset, config_fingerprint
 from .errors import (FileFormatError, GridCompatibilityError, MrsQuantError, UnsupportedVersionError,
                      ValidationError, known_keys)
@@ -245,31 +247,6 @@ def acquisition_from_dict(d):
         echo_time=d.get("echo_time_ms"),
         repetition_time=d.get("repetition_time_ms"),
     )
-
-
-# ---------------------------------------------------------------- basis sets
-
-def write_basis(path, basis):
-    doc = {
-        "format": "mrsquant-basis",
-        "format_version": FORMAT_VERSION,
-        "reference_ppm": basis.reference_ppm,
-        "acquisition": acquisition_to_dict(basis.params),
-    }
-    doc.update(basis_to_dict(basis))
-    doc["fingerprint"] = config_fingerprint(
-        {k: v for k, v in doc.items() if k not in ("format", "format_version")}
-    )
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-
-
-def read_basis(path):
-    def build(doc):
-        return basis_from_dict(doc, acquisition_from_dict(doc["acquisition"]), doc["reference_ppm"])
-
-    return load_json(path, build, "mrsquant-basis")
 
 
 # ---------------------------------------------------------------- simulation configs

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import subprocess
@@ -9,16 +10,21 @@ import numpy as np
 import pytest
 
 from mrsquant import fileio, simulate as simulate_module
-from mrsquant.basis import default_brain_basis
+from mrsquant.basis import BasisSet, MetaboliteBasis, basis_to_dict, default_brain_basis
 from mrsquant.cli import main
 from mrsquant.dataset import Dataset
 from mrsquant.errors import ValidationError
 from mrsquant.forest import ForestConfig
 from mrsquant.pipeline import train_model
+from mrsquant.signal import LorentzianComponent
 from mrsquant.simulate import SimulationConfig
 
 ACQ_SMALL = {"spectral_width_hz": 2500.0, "n_points": 256, "transmitter_freq_mhz": 127.7,
              "echo_time_ms": 35.0, "repetition_time_ms": 2000.0}
+ACQ_LAC = {"spectral_width_hz": 2000.0, "n_points": 256, "transmitter_freq_mhz": 127.7,
+           "echo_time_ms": 30.0, "repetition_time_ms": 1500.0}
+LAC = MetaboliteBasis("Lac", (LorentzianComponent(1.31, 0.5, 0.08, 0.3), LorentzianComponent(1.35, 0.5, 0.08, -0.2)))
+LAC_BASIS_SHA256 = "0f3d4be2173c76dbe8e823890f722c6709b6a40b14d839dbf88792087bbf4889"
 
 
 def write_config(path, **fields):
@@ -35,6 +41,18 @@ def simulate(tmp_path, name="data.json", n=12, seed=5, config_fields=None):
                  "--n-spectra", str(n), "--output", str(out)])
     assert code == 0
     return out
+
+
+def negative_cr_set(tmp_path, n=30):
+    """A default-grid dataset whose row 2 a constant offset drives below zero, its Cr window included."""
+    data = tmp_path / "data.json"
+    assert main(["simulate", "--seed", "5", "--n-spectra", str(n), "--output", str(data)]) == 0
+    ds = fileio.read_dataset(data)
+    values = ds.values.copy()
+    values[2] -= 10.0 * np.max(np.abs(values[2]))
+    bad = tmp_path / "bad.json"
+    fileio.write_dataset(bad, Dataset(ds.params, ds.reference_ppm, values, ds.target_names, ds.labels))
+    return bad
 
 
 class TestSimulate:
@@ -155,27 +173,38 @@ class TestSimulate:
     @pytest.mark.parametrize("amplitude", ["NaN", "1e400"])
     def test_non_finite_basis_amplitude_exits_2_naming_field(self, tmp_path, capsys, amplitude):
         # such a basis line made every spectrum non-finite and exited 0
-        basis = tmp_path / "basis.json"
-        fileio.write_basis(basis, default_brain_basis(fileio.acquisition_from_dict(ACQ_SMALL)))
-        doc = json.loads(basis.read_text())
-        doc["metabolites"][0]["components"][0]["amplitude"] = "AMP"
-        basis.write_text(json.dumps(doc).replace('"AMP"', amplitude))
+        basis = basis_to_dict(default_brain_basis(fileio.acquisition_from_dict(ACQ_SMALL)))
+        basis["metabolites"][0]["components"][0]["amplitude"] = "AMP"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"acquisition": ACQ_SMALL, "basis": basis}).replace('"AMP"', amplitude))
         out = tmp_path / "x.json"
-        code = main(["simulate", "--basis", str(basis), "--seed", "1", "--n-spectra", "2",
+        code = main(["simulate", "--config", str(cfg), "--seed", "1", "--n-spectra", "2",
                      "--output", str(out)])
         assert code == 2
-        assert f"{basis}: amplitude must be" in capsys.readouterr().err
+        assert f"{cfg}: amplitude must be" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_basis_file_gives_the_file_write_simulation_gives(self, tmp_path):
-        basis = tmp_path / "basis.json"
-        fileio.write_basis(basis, default_brain_basis(fileio.acquisition_from_dict(ACQ_SMALL)))
+    def _config_route(self, tmp_path, basis, **fields):
+        """The bytes `simulate --config` writes for a config holding basis, checked against write_simulation's."""
+        cfg = write_config(tmp_path / "cfg.json", basis=basis_to_dict(basis), **fields)
         out, expected = tmp_path / "out.json", tmp_path / "expected.json"
-        assert main(["simulate", "--basis", str(basis), "--seed", "4", "--n-spectra", "20",
+        assert main(["simulate", "--config", cfg, "--seed", "4", "--n-spectra", "20",
                      "--output", str(out)]) == 0
-        fileio.write_simulation(expected, SimulationConfig(basis=fileio.read_basis(basis), n_spectra=20,
-                                                           rng_seed=4))
+        fileio.write_simulation(expected, SimulationConfig(basis=basis, n_spectra=20, rng_seed=4))
         assert out.read_bytes() == expected.read_bytes()
+        return out.read_bytes()
+
+    def test_basis_in_config_gives_the_file_write_simulation_gives(self, tmp_path):
+        self._config_route(tmp_path, default_brain_basis(fileio.acquisition_from_dict(ACQ_SMALL)))
+
+    def test_config_route_writes_what_the_basis_file_route_wrote(self, tmp_path):
+        # a non-default basis (the built-in five plus a phased two-line Lac), acquisition and reference;
+        # LAC_BASIS_SHA256 was recorded from `simulate --basis B --seed 4 --n-spectra 20` before the
+        # --basis flag and its basis-file format were removed, B holding this basis, acquisition and reference
+        params = fileio.acquisition_from_dict(ACQ_LAC)
+        basis = BasisSet(default_brain_basis(params).metabolites + (LAC,), params, 4.65)
+        written = self._config_route(tmp_path, basis, acquisition=ACQ_LAC, reference_ppm=4.65)
+        assert hashlib.sha256(written).hexdigest() == LAC_BASIS_SHA256
 
     @pytest.mark.parametrize("use_config", [False, True])
     def test_no_spectrum_count_exits_2(self, tmp_path, capsys, use_config):
@@ -220,6 +249,15 @@ class TestTrain:
         assert dataset.basis == default_brain_basis(dataset.params, dataset.reference_ppm)
         assert main(["train", "--dataset", str(data), "--output", str(tmp_path / "model.json"),
                      "--seed", "7", "--trees", "2", "--max-features", "16", "--min-leaf", "2"]) == 0
+
+    def test_negative_cr_window_exits_4_naming_the_dataset(self, tmp_path, capsys):
+        bad = negative_cr_set(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["train", "--dataset", str(bad), "--output", str(model), "--seed", "7",
+                     "--trees", "2", "--max-features", "16"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "index 2" in err and "Cr" in err
+        assert not model.exists() and not (tmp_path / "model.json.oob.csv").exists()
 
     def test_retrain_byte_identical(self, tmp_path):
         data = simulate(tmp_path, n=20)
@@ -348,6 +386,13 @@ class TestUnreadableDataset:
             main(["train", "--dataset", str(tmp_path / "d.json"), "--output",
                   str(tmp_path / "m.json"), "--seed", "1", "--bootstrap", "identity"])
         assert exc.value.code == 2
+
+    def test_basis_flag_is_gone(self, tmp_path):
+        # a custom basis goes in the simulate config's basis field
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--basis", "x", "--seed", "1", "--output", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestPredict:
@@ -731,6 +776,15 @@ class TestOobScan:
         assert main(["oob-scan", "--dataset", str(data), "--seed", "2", "--trees", "2",
                      "--features", features, "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_negative_cr_window_exits_4_naming_the_dataset(self, tmp_path, capsys):
+        bad = negative_cr_set(tmp_path)
+        out = tmp_path / "oob.csv"
+        assert main(["oob-scan", "--dataset", str(bad), "--seed", "2", "--trees", "2",
+                     "--features", "4", "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "index 2" in err and "Cr" in err
         assert not out.exists()
 
     def test_oversize_feature_value_exits_2_before_any_tree(self, tmp_path, monkeypatch, capsys):

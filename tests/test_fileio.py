@@ -28,31 +28,6 @@ def small_dataset(n=12, seed=5):
     return dataset_from_labeled(simulate_dataset(cfg), config_dict, cfg.target_names)
 
 
-class TestBasisFile:
-    def test_round_trip_exact(self, tmp_path):
-        path = tmp_path / "basis.json"
-        fileio.write_basis(path, BASIS)
-        loaded = fileio.read_basis(path)
-        assert loaded.names == BASIS.names
-        assert loaded.params == BASIS.params
-        assert loaded.reference_ppm == BASIS.reference_ppm
-        for a, b in zip(loaded.metabolites, BASIS.metabolites):
-            assert a.components == b.components
-
-    def test_wrong_format_tag(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else", "format_version": 1}')
-        with pytest.raises(FileFormatError):
-            fileio.read_basis(path)
-
-    def test_rewrite_byte_identical(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        fileio.write_basis(a, BASIS)
-        fileio.write_basis(b, fileio.read_basis(a))
-        assert a.read_bytes() == b.read_bytes()
-
-
 class TestDatasetFile:
     def test_round_trip_lossless(self, tmp_path):
         ds = small_dataset()
@@ -512,10 +487,12 @@ class TestJsonScanner:
     @pytest.mark.parametrize("window", [1, 5, fileio._WINDOW])
     def test_model_report_and_basis_load_as_json_load(self, tmp_path, monkeypatch, window):
         model, _ = TestModelFile()._model()
-        paths = [tmp_path / name for name in ("model.json", "report.json", "basis.json")]
+        paths = [tmp_path / name for name in ("model.json", "report.json", "simulate.json")]
         fileio.write_model(paths[0], model)
         fileio.write_report(paths[1], TestReportFile()._report())
-        fileio.write_basis(paths[2], BASIS)
+        # a basis is given in a simulate config, the basis field beside its acquisition and reference_ppm
+        sim_config = fileio.sim_config_to_dict(SimulationConfig(basis=BASIS, n_spectra=4, rng_seed=1))
+        paths[2].write_text(json.dumps(sim_config, indent=1))
         monkeypatch.setattr(fileio, "_WINDOW", window)
         for path in paths:
             with open(path, encoding="utf-8") as f:

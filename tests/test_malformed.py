@@ -17,11 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mrsquant import fileio
-from mrsquant.basis import default_brain_basis
+from mrsquant.basis import basis_to_dict, default_brain_basis
 from mrsquant.cli import main
 from mrsquant.errors import MrsQuantError
 from mrsquant.pipeline import FeatureMeta, features_for_dataset, oracle_ratios
-from mrsquant.signal import AcquisitionParams, ppm_axis
+from mrsquant.signal import ppm_axis
 
 ACQ = {"spectral_width_hz": 2500.0, "n_points": 256, "transmitter_freq_mhz": 127.7,
        "echo_time_ms": 35.0, "repetition_time_ms": 2000.0}
@@ -41,8 +41,6 @@ def valid(tmp_path_factory):
                      "--n-spectra", str(n), "--output", str(d / f"{name}.json")]) == 0
     assert main(["train", "--dataset", str(d / "data.json"), "--output", str(d / "model.json"),
                  "--seed", "1", "--trees", "2", "--max-features", "8", "--min-leaf", "2"]) == 0
-    params = AcquisitionParams(spectral_width=2500.0, n_points=64, transmitter_freq=127.7)
-    fileio.write_basis(d / "basis.json", default_brain_basis(params))
     evaluate = {"experiment": "synthetic-synthetic", "seed": 3, "k_folds": 2, "baseline_degree": 2,
                 "forest": {"n_trees": 2, "max_features": 8, "min_leaf_size": 2, "max_depth": None,
                            "rng_seed": 3},
@@ -53,7 +51,6 @@ def valid(tmp_path_factory):
         "dir": d,
         "dataset": d / "data.json",
         "model": d / "model.json",
-        "basis": d / "basis.json",
         "report": d / "report.json",
         # the config a dataset embeds is a complete simulate config
         "simulate": json.loads((d / "data.json").read_text())["config"],
@@ -112,6 +109,13 @@ def reversed_axis(doc):
     doc["ppm_axis"] = doc["ppm_axis"][::-1]
 
 
+def edited_basis(edit):
+    """The built-in basis as a simulate config's basis field, with edit applied."""
+    doc = basis_to_dict(default_brain_basis(fileio.acquisition_from_dict(ACQ)))
+    edit(doc)
+    return doc
+
+
 def root_is_its_own_child(doc):
     t = tree(doc)
     t["left"][0] = t["right"][0] = 0
@@ -141,19 +145,14 @@ MODEL_EDITS = {
     "short-value": (tree_edit("value", lambda a: a[:-1]), "tree arrays"),
 }
 
-BASIS_EDITS = {
-    "no-acquisition": drop("acquisition"),
-    "no-t2_s": drop("metabolites", 0, "components", 0, "t2_s"),
-    "metabolites=null": set_at(["metabolites"], None),
-    "no-reference_ppm": drop("reference_ppm"),
-}
-
 SIMULATE_CONFIGS = {
     "acquisition=5": {"acquisition": 5},
     "no-n_points": {"acquisition": {k: v for k, v in ACQ.items() if k != "n_points"}},
     "snr_range=5": {"acquisition": ACQ, "snr_range": 5},
     "snr_rnge": {"acquisition": ACQ, "snr_rnge": [1e9, 1e9]},
     "list": [1, 2],
+    "basis no-t2_s": {"acquisition": ACQ, "basis": edited_basis(drop("metabolites", 0, "components", 0, "t2_s"))},
+    "basis metabolites=null": {"acquisition": ACQ, "basis": edited_basis(set_at(["metabolites"], None))},
 }
 
 EVALUATE_CONFIGS = {
@@ -232,13 +231,6 @@ def test_malformed_model_exits_2(valid, tmp_path, capsys, name):
         assert f"{bad}: tree 0 of target" in err and message in err
 
 
-@pytest.mark.parametrize("name", BASIS_EDITS)
-def test_malformed_basis_exits_2(valid, tmp_path, capsys, name):
-    bad = edited(valid["basis"], tmp_path / "bad.json", BASIS_EDITS[name])
-    exits_2_naming(["simulate", "--basis", bad, "--seed", "1", "--n-spectra", "2",
-                    "--output", str(tmp_path / "out.json")], bad, capsys)
-
-
 @pytest.mark.parametrize("name", SIMULATE_CONFIGS)
 def test_malformed_simulate_config_exits_2(tmp_path, capsys, name):
     bad = json_file(tmp_path / "bad.json", SIMULATE_CONFIGS[name])
@@ -301,15 +293,6 @@ def test_refusal_while_building_names_the_file(valid, tmp_path, capsys, name):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count(bad) == 1
         assert message in err
-
-
-def test_basis_refusal_names_the_basis_file_alone(valid, tmp_path, capsys):
-    bad = edited(valid["basis"], tmp_path / "bad.json", set_at(["metabolites", 0, "name"], ""))
-    cfg = json_file(tmp_path / "sim.json", {"acquisition": ACQ})
-    assert main(["simulate", "--config", cfg, "--basis", bad, "--seed", "1", "--n-spectra", "2",
-                 "--output", str(tmp_path / "out.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and cfg not in err
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", "0"])
@@ -417,14 +400,6 @@ def test_fuzzed_model_is_read_or_refused(valid, tmp_path_factory, data):
                                   fileio.read_dataset(valid["dataset"]), True)
         if features is not None:
             unless_refused(model.predict_matrix, features)
-
-
-@FUZZ
-@given(data=st.data())
-def test_fuzzed_basis_is_read_or_refused(valid, tmp_path_factory, data):
-    path = fresh(tmp_path_factory, "basis.json")
-    path.write_text(mutate(data, json.loads(valid["basis"].read_text())))
-    read_or_refused(fileio.read_basis, path)
 
 
 @FUZZ
